@@ -17,9 +17,10 @@ from .atlas import (
     verify_atlas,
 )
 from .curvecoh import CompleteIntersection, CurveCohomology, RationalCurve
-from .exactpoly import HilbertPolynomial, Rational
+from .exactpoly import HilbertPolynomial
 from .families import ExtProfile, IdealExtension, SplitResolution
-from .p3rr import ChernData, chern_from_hp, chi_o_p3, h0_o_p3, hp_from_chern
+from .p3rr import (CertificateError, ChernData, chern_from_hp, chi_o_p3,
+                   h0_o_p3, hp_from_chern)
 from .transform import (
     ComponentDescriptor,
     ComponentReport,
@@ -35,6 +36,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Atlas",
+    "CertificateError",
     "ChernData",
     "CompleteIntersection",
     "ComponentDescriptor",
@@ -48,7 +50,6 @@ __all__ = [
     "HilbertPolynomial",
     "IdealExtension",
     "InadmissibleDescriptor",
-    "Rational",
     "RationalCurve",
     "SingularitySignature",
     "SplitResolution",

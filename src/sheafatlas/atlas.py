@@ -30,6 +30,9 @@ from .transform import (
     ErratumNote,
     build_report,
     chi_hom_fl,
+    curve_tag,
+    dedup_notes,
+    reflexive_tag,
     stability_margin,
 )
 
@@ -46,19 +49,16 @@ class EnumerationOptions:
     The curve-degree floor defaults to 2: degree-1 curves reproduce
     previously known component types and are admitted only on explicit
     request.  Split triples whose closed-form c3 disagrees with the
-    resolution route are listed with notes by default; setting
-    include_erratum_families to False drops them.
+    resolution route are always listed, with notes.
     """
 
     k: int
     min_curve_degree: int = transform.DEFAULT_MIN_CURVE_DEGREE
-    include_erratum_families: bool = True
 
     def __post_init__(self):
         if self.k < 3:
             raise ValueError("the component series starts at c2 = 3")
-        if self.min_curve_degree < 1:
-            raise ValueError("curve-degree floor must be positive")
+        transform.check_curve_degree_floor(self.min_curve_degree)
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ class Atlas:
     k: int
     options: EnumerationOptions
     reports: tuple[ComponentReport, ...]
-    # counts keyed by (reflexive tag, curve tag), e.g. ("S", "R")
+    # counts keyed by (reflexive kind, curve kind), e.g. ("S", "R")
     summary: tuple[tuple[tuple[str, str], int], ...]
 
 
@@ -123,7 +123,7 @@ def curve_families_of_degree(d: int) -> list[CurveFamily]:
         if d1 * d1 > d or d % d1 != 0:
             continue
         d2 = d // d1
-        if (d1, d2) in {(1, 1), (1, 2)}:
+        if (d1, d2) in curvecoh.EXCLUDED_CI:
             continue
         out.append(CompleteIntersection(d1, d2))
     return out
@@ -151,12 +151,9 @@ def _s_range(fam: ReflexiveFamily, curve: CurveFamily) -> range:
     return range(n + 1)
 
 
-def _reflexive_tag(fam: ReflexiveFamily) -> str:
-    return "S" if isinstance(fam, SplitResolution) else "V"
-
-
-def _curve_tag(curve: CurveFamily) -> str:
-    return "R" if isinstance(curve, RationalCurve) else "CI"
+def _kind(tag: str) -> str:
+    """The family kind of a descriptor tag: "S", "V", "R" or "CI"."""
+    return tag.partition(":")[0]
 
 
 def enumerate_components(opts: EnumerationOptions) -> Atlas:
@@ -167,24 +164,15 @@ def enumerate_components(opts: EnumerationOptions) -> Atlas:
     counts: dict[tuple[str, str], int] = {}
     for d in range(opts.min_curve_degree, opts.k):
         c2_r = opts.k - d
-        if c2_r < 1:
-            continue
         for curve in curve_families_of_degree(d):
             for fam in _reflexive_families(c2_r, d):
-                if (
-                    not opts.include_erratum_families
-                    and isinstance(fam, SplitResolution)
-                    and chern_sabc_closed(fam.a, fam.b, fam.c)[1]
-                    != chern_of(fam).c3
-                ):
-                    continue
+                key = (_kind(reflexive_tag(fam)), _kind(curve_tag(curve)))
                 for s in _s_range(fam, curve):
                     report = build_report(
                         ComponentDescriptor(fam, curve, s),
                         min_curve_degree=opts.min_curve_degree,
                     )
                     reports.append(report)
-                    key = (_reflexive_tag(fam), _curve_tag(curve))
                     counts[key] = counts.get(key, 0) + 1
     return Atlas(
         k=opts.k,
@@ -194,16 +182,15 @@ def enumerate_components(opts: EnumerationOptions) -> Atlas:
     )
 
 
-def _dedup_notes(reports) -> tuple[ErratumNote, ...]:
-    seen = set()
-    out = []
-    for report in reports:
-        for note in report.erratum_notes:
-            key = (note.code, note.values)
-            if key not in seen:
-                seen.add(key)
-                out.append(note)
-    return tuple(out)
+def _check(name: str, pairs) -> CheckResult:
+    """Tally (ok, label) pairs; the first ten failing labels are kept."""
+    failures = [msg for ok, msg in pairs if not ok]
+    return CheckResult(
+        name=name,
+        passed=len(pairs) - len(failures),
+        failed=len(failures),
+        failures=tuple(failures[:10]),
+    )
 
 
 def verify_atlas(opts: EnumerationOptions) -> VerificationSummary:
@@ -218,71 +205,16 @@ def verify_atlas(opts: EnumerationOptions) -> VerificationSummary:
     discrepancies are collected as notes, not failures.
     """
     atlas = enumerate_components(opts)
-    checks: list[CheckResult] = []
-
-    def run(name: str, pairs) -> None:
-        failures = [msg for ok, msg in pairs if not ok]
-        checks.append(CheckResult(
-            name=name,
-            passed=len(pairs) - len(failures),
-            failed=len(failures),
-            failures=tuple(failures[:10]),
-        ))
 
     def label(r: ComponentReport) -> str:
         d = r.descriptor
         return "%s/%s/s=%d" % (
-            _reflexive_tag(d.reflexive), _curve_tag(d.curve), d.s)
-
-    run("c2-additivity", [
-        (r.k == opts.k
-         and r.chern_e.c2 == chern_of(r.descriptor.reflexive).c2
-         + r.descriptor.curve.degree,
-         label(r)) for r in atlas.reports
-    ])
-    run("transformed-chern", [
-        (r.chern_e.c1 == 0 and r.chern_e.c3 == 0, label(r))
-        for r in atlas.reports
-    ])
-    run("two-route-section-count", [
-        (chi_hom_fl(r.descriptor) == 2 * r.chi_l, label(r))
-        for r in atlas.reports
-    ])
-    run("tangent-equals-component", [
-        (r.dim_component == r.dim_tangent, label(r)) for r in atlas.reports
-    ])
-    run("twist-degree-identity", [
-        (2 * genus(r.descriptor.curve) - 2 + 4 * r.descriptor.curve.degree
-         - 2 * r.deg_l
-         == 2 * (r.descriptor.s - half_c3(r.descriptor.reflexive)),
-         label(r)) for r in atlas.reports
-    ])
+            _kind(reflexive_tag(d.reflexive)), _kind(curve_tag(d.curve)), d.s)
 
     families_seen = sorted(
         {r.descriptor.reflexive for r in atlas.reports},
-        key=lambda f: (_reflexive_tag(f), repr(f)),
+        key=lambda f: (_kind(reflexive_tag(f)), repr(f)),
     )
-    run("euler-pairing", [
-        (euler_check(f), repr(f)) for f in families_seen
-    ])
-    run("c3-parity", [
-        (chern_of(f).c3 % 2 == 0 and half_c3(f) >= 1, repr(f))
-        for f in families_seen
-    ])
-    run("closed-form-c2", [
-        (chern_sabc_closed(f.a, f.b, f.c)[0] == chern_of(f).c2, repr(f))
-        for f in families_seen if isinstance(f, SplitResolution)
-    ] or [(True, "no split families")])
-    run("sheaf-hilbert-numerical", [
-        (hp_of_family(f).is_numerical(), repr(f)) for f in families_seen
-    ])
-
-    run("stability-margin-positive", [
-        (stability_margin(r.descriptor).coefficient(1) > 0, label(r))
-        for r in atlas.reports
-        if isinstance(r.descriptor.reflexive, IdealExtension)
-    ] or [(True, "no extension families")])
-
     by_key = {}
     for r in atlas.reports:
         by_key.setdefault(
@@ -291,30 +223,75 @@ def verify_atlas(opts: EnumerationOptions) -> VerificationSummary:
     mono = []
     for group in by_key.values():
         group.sort(key=lambda r: r.descriptor.s)
-        for lo, hi in zip(group, group[1:]):
-            mono.append((
-                hi.dim_component == lo.dim_component + 2,
-                label(hi),
-            ))
-    run("dimension-monotone-in-s", mono or [(True, "no neighbours")])
-
+        mono += [(hi.dim_component == lo.dim_component + 2, label(hi))
+                 for lo, hi in zip(group, group[1:])]
     descriptors = [r.descriptor for r in atlas.reports]
-    run("descriptor-uniqueness",
-        [(len(set(descriptors)) == len(descriptors), "duplicates found")])
     signatures = [
-        ((_reflexive_tag(r.descriptor.reflexive), r.reflexive_chern),
+        ((_kind(reflexive_tag(r.descriptor.reflexive)), r.reflexive_chern),
          r.signature.curve_parts, r.descriptor.s)
         for r in atlas.reports
     ]
-    run("signature-distinctness",
-        [(len(set(signatures)) == len(signatures), "colliding signatures")])
-    run("rerun-determinism",
-        [(enumerate_components(opts) == atlas, "atlases differ")])
 
+    checks = (
+        _check("c2-additivity", [
+            (r.k == opts.k
+             and r.chern_e.c2 == chern_of(r.descriptor.reflexive).c2
+             + r.descriptor.curve.degree,
+             label(r)) for r in atlas.reports
+        ]),
+        _check("transformed-chern", [
+            (r.chern_e.c1 == 0 and r.chern_e.c3 == 0, label(r))
+            for r in atlas.reports
+        ]),
+        _check("two-route-section-count", [
+            (chi_hom_fl(r.descriptor) == 2 * r.chi_l, label(r))
+            for r in atlas.reports
+        ]),
+        _check("tangent-equals-component", [
+            (r.dim_component == r.dim_tangent, label(r))
+            for r in atlas.reports
+        ]),
+        _check("twist-degree-identity", [
+            (2 * genus(r.descriptor.curve) - 2 + 4 * r.descriptor.curve.degree
+             - 2 * r.deg_l
+             == 2 * (r.descriptor.s - half_c3(r.descriptor.reflexive)),
+             label(r)) for r in atlas.reports
+        ]),
+        _check("euler-pairing", [
+            (euler_check(f), repr(f)) for f in families_seen
+        ]),
+        _check("c3-parity", [
+            (chern_of(f).c3 % 2 == 0 and half_c3(f) >= 1, repr(f))
+            for f in families_seen
+        ]),
+        _check("closed-form-c2", [
+            (chern_sabc_closed(f.a, f.b, f.c)[0] == chern_of(f).c2, repr(f))
+            for f in families_seen if isinstance(f, SplitResolution)
+        ] or [(True, "no split families")]),
+        _check("sheaf-hilbert-numerical", [
+            (hp_of_family(f).is_numerical(), repr(f)) for f in families_seen
+        ]),
+        _check("stability-margin-positive", [
+            (stability_margin(r.descriptor).coefficient(1) > 0, label(r))
+            for r in atlas.reports
+            if isinstance(r.descriptor.reflexive, IdealExtension)
+        ] or [(True, "no extension families")]),
+        _check("dimension-monotone-in-s", mono or [(True, "no neighbours")]),
+        _check("descriptor-uniqueness", [
+            (len(set(descriptors)) == len(descriptors), "duplicates found")
+        ]),
+        _check("signature-distinctness", [
+            (len(set(signatures)) == len(signatures), "colliding signatures")
+        ]),
+        _check("rerun-determinism", [
+            (enumerate_components(opts) == atlas, "atlases differ")
+        ]),
+    )
     return VerificationSummary(
         k=opts.k,
-        checks=tuple(checks),
-        erratum_notes=_dedup_notes(atlas.reports),
+        checks=checks,
+        erratum_notes=dedup_notes(
+            n for r in atlas.reports for n in r.erratum_notes),
     )
 
 
@@ -326,36 +303,10 @@ def verify_module_invariants() -> tuple[CheckResult, ...]:
     relation, the Riemann-Roch/Koszul agreement on curves, the Chern
     round trip, and the closed-form audits over the documented ranges.
     """
-    checks: list[CheckResult] = []
-
-    def run(name: str, pairs) -> None:
-        failures = [msg for ok, msg in pairs if not ok]
-        checks.append(CheckResult(
-            name=name,
-            passed=len(pairs) - len(failures),
-            failed=len(failures),
-            failures=tuple(failures[:10]),
-        ))
-
-    run("p3-serre-duality", [
-        (chi_o_p3(j) == -chi_o_p3(-4 - j), "j=%d" % j)
-        for j in range(-30, 31)
-    ])
-    run("p3-h0-vs-chi", [
-        (h0_o_p3(j) == (chi_o_p3(j) if j >= 0 else 0), "j=%d" % j)
-        for j in range(-30, 31)
-    ])
-    run("chern-round-trip", [
-        (chern_from_hp(hp_from_chern(ChernData(2, 0, c2, c3)))
-         == ChernData(2, 0, c2, c3), "c2=%d c3=%d" % (c2, c3))
-        for c2 in range(-20, 61)
-        for c3 in range(-100, 301, 2)
-    ])
-
     cis = [
         CompleteIntersection(d1, d2)
         for d1 in range(1, 5) for d2 in range(d1, 17)
-        if d1 * d2 <= 16 and (d1, d2) not in {(1, 1), (1, 2)}
+        if d1 * d2 <= 16 and (d1, d2) not in curvecoh.EXCLUDED_CI
     ]
     duality = []
     for ci in cis:
@@ -366,7 +317,6 @@ def verify_module_invariants() -> tuple[CheckResult, ...]:
                 == curvecoh.cohomology_oc(ci, e - a).h0,
                 "%r a=%d" % (ci, a),
             ))
-    run("curve-serre-duality", duality)
 
     curves: list[CurveFamily] = [RationalCurve(d) for d in range(1, 13)]
     curves += [ci for ci in cis if ci.degree <= 12]
@@ -390,8 +340,6 @@ def verify_module_invariants() -> tuple[CheckResult, ...]:
                     alt == curvecoh.chi_oc(curve, a),
                     "%r a=%d" % (curve, a),
                 ))
-    run("curve-chi-consistency", chi_pairs)
-    run("curve-koszul-riemann-roch", koszul)
 
     triples = [
         (a, b, c)
@@ -400,26 +348,45 @@ def verify_module_invariants() -> tuple[CheckResult, ...]:
         for b in range((w - 3 * a) // 2 + 1)
         for c in [w - 3 * a - 2 * b]
     ]
-    run("closed-form-c2-agreement", [
-        (chern_sabc_closed(a, b, c)[0]
-         == chern_of(SplitResolution(a, b, c)).c2,
-         "(%d,%d,%d)" % (a, b, c))
-        for (a, b, c) in triples
-    ])
-    run("closed-form-c3-single-exponent", [
-        (chern_sabc_closed(a, b, c)[1]
-         == chern_of(SplitResolution(a, b, c)).c3,
-         "(%d,%d,%d)" % (a, b, c))
-        for (a, b, c) in triples
-        if a * b == 0 and a * c == 0 and b * c == 0
-    ])
     fams: list[ReflexiveFamily] = [SplitResolution(a, b, c)
                                    for (a, b, c) in triples]
     fams += [IdealExtension(m) for m in range(1, 21)]
-    run("euler-pairing-ranges", [
-        (euler_check(f), repr(f)) for f in fams
-    ])
-    run("family-c3-parity", [
-        (chern_of(f).c3 % 2 == 0, repr(f)) for f in fams
-    ])
-    return tuple(checks)
+
+    return (
+        _check("p3-serre-duality", [
+            (chi_o_p3(j) == -chi_o_p3(-4 - j), "j=%d" % j)
+            for j in range(-30, 31)
+        ]),
+        _check("p3-h0-vs-chi", [
+            (h0_o_p3(j) == (chi_o_p3(j) if j >= 0 else 0), "j=%d" % j)
+            for j in range(-30, 31)
+        ]),
+        _check("chern-round-trip", [
+            (chern_from_hp(hp_from_chern(ChernData(2, 0, c2, c3)))
+             == ChernData(2, 0, c2, c3), "c2=%d c3=%d" % (c2, c3))
+            for c2 in range(-20, 61)
+            for c3 in range(-100, 301, 2)
+        ]),
+        _check("curve-serre-duality", duality),
+        _check("curve-chi-consistency", chi_pairs),
+        _check("curve-koszul-riemann-roch", koszul),
+        _check("closed-form-c2-agreement", [
+            (chern_sabc_closed(a, b, c)[0]
+             == chern_of(SplitResolution(a, b, c)).c2,
+             "(%d,%d,%d)" % (a, b, c))
+            for (a, b, c) in triples
+        ]),
+        _check("closed-form-c3-single-exponent", [
+            (chern_sabc_closed(a, b, c)[1]
+             == chern_of(SplitResolution(a, b, c)).c3,
+             "(%d,%d,%d)" % (a, b, c))
+            for (a, b, c) in triples
+            if a * b == 0 and a * c == 0 and b * c == 0
+        ]),
+        _check("euler-pairing-ranges", [
+            (euler_check(f), repr(f)) for f in fams
+        ]),
+        _check("family-c3-parity", [
+            (chern_of(f).c3 % 2 == 0, repr(f)) for f in fams
+        ]),
+    )

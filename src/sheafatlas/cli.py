@@ -2,10 +2,11 @@
 
 Three subcommands: `enumerate` lists every component for a target c2,
 `describe` prints the full report for a single descriptor, and `verify`
-runs the invariant suites.  Exit codes are stable: 0 on success, 2 on a
-usage error, 3 when a described descriptor is inadmissible (the report is
-still printed, with the failing verdicts).  Output is deterministic; no
-environment variables or randomness are consulted.
+runs the invariant suites.  Exit codes are stable: 0 on success, 1 when
+`verify` finds a failing check, 2 on a usage error (including an
+unwritable --output path), 3 when a described descriptor is inadmissible
+(the report is still printed, with the failing verdicts).  Output is
+deterministic; no environment variables or randomness are consulted.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 
 from . import atlas as atlas_mod
 from . import render, transform
-from .transform import ComponentDescriptor
+from .transform import ComponentDescriptor, parse_curve, parse_reflexive
 
 USAGE_ERROR = 2
 INADMISSIBLE = 3
@@ -58,12 +59,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, path: str | None) -> None:
+def _emit(text: str, path: str | None, code: int) -> int:
+    """Write the output; returns `code`, or USAGE_ERROR if PATH fails."""
     if path is None:
         sys.stdout.write(text)
-    else:
+        return code
+    try:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as exc:
+        print("error: cannot write output: %s" % exc, file=sys.stderr)
+        return USAGE_ERROR
+    return code
 
 
 def _min_degree(args) -> int:
@@ -86,8 +93,7 @@ def _run_enumerate(args) -> int:
         text = render.atlas_csv(result)
     else:
         text = render.atlas_table(result)
-    _emit(text, args.output)
-    return 0
+    return _emit(text, args.output, 0)
 
 
 def _render_report(report, fmt: str) -> str:
@@ -100,30 +106,32 @@ def _render_report(report, fmt: str) -> str:
 
 def _run_describe(args) -> int:
     try:
-        reflexive = render.parse_reflexive(args.reflexive)
-        curve = render.parse_curve(args.curve)
+        reflexive = parse_reflexive(args.reflexive)
+        curve = parse_curve(args.curve)
         descriptor = ComponentDescriptor(reflexive, curve, args.points)
+        min_degree = transform.check_curve_degree_floor(_min_degree(args))
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return USAGE_ERROR
-    min_degree = _min_degree(args)
     try:
         report = transform.build_report(descriptor,
                                         min_curve_degree=min_degree)
     except transform.InadmissibleDescriptor as exc:
         # Best-effort report so the failing verdicts are visible.
+        code = INADMISSIBLE
         try:
             report = transform.assemble_report(descriptor)
-            _emit(_render_report(report, args.format), args.output)
         except ValueError:
             print("inadmissible descriptor: %s" % exc, file=sys.stderr)
             for v in transform.check_conditions(descriptor):
                 print("  %-24s %-18s %s" % (v.condition, v.status.value,
                                             v.note), file=sys.stderr)
+        else:
+            code = _emit(_render_report(report, args.format), args.output,
+                         INADMISSIBLE)
         print("inadmissible: %s" % exc, file=sys.stderr)
-        return INADMISSIBLE
-    _emit(_render_report(report, args.format), args.output)
-    return 0
+        return code
+    return _emit(_render_report(report, args.format), args.output, 0)
 
 
 def _run_verify(args) -> int:
@@ -139,8 +147,7 @@ def _run_verify(args) -> int:
     ok = all(s.ok for s in summaries) and all(
         c.failed == 0 for c in module_checks)
     text += "overall: %s\n" % ("PASS" if ok else "FAIL")
-    _emit(text, args.output)
-    return 0 if ok else 1
+    return _emit(text, args.output, 0 if ok else 1)
 
 
 def main(argv=None) -> int:

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .p3rr import chi_o_p3, h0_o_p3
+from .p3rr import CertificateError, h0_o_p3
 
 # (1,1) is a line and (1,2) a conic; both are rational and belong to the
 # other family.
-_EXCLUDED_CI = {(1, 1), (1, 2)}
+EXCLUDED_CI = frozenset({(1, 1), (1, 2)})
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,7 @@ class CompleteIntersection:
             raise ValueError("surface degrees must be positive")
         if self.d1 > self.d2:
             raise ValueError("require d1 <= d2")
-        if (self.d1, self.d2) in _EXCLUDED_CI:
+        if (self.d1, self.d2) in EXCLUDED_CI:
             raise ValueError(
                 "(%d, %d) is rational and excluded from the complete-"
                 "intersection family" % (self.d1, self.d2)
@@ -65,23 +65,17 @@ class CurveCohomology:
     h0: int
     h1: int
 
-    @property
-    def chi(self) -> int:
-        return self.h0 - self.h1
-
-
-def degree(curve: CurveFamily) -> int:
-    return curve.degree
-
 
 def genus(curve: CurveFamily) -> int:
     """Arithmetic genus: 0 for rational curves, 1 + d1*d2*(d1+d2-4)/2 else."""
     if isinstance(curve, RationalCurve):
         return 0
     prod = curve.d1 * curve.d2 * (curve.d1 + curve.d2 - 4)
-    assert prod % 2 == 0
+    if prod % 2 != 0:
+        raise CertificateError("odd genus numerator %d for %r" % (prod, curve))
     g = 1 + prod // 2
-    assert g >= 0
+    if g < 0:
+        raise CertificateError("negative genus %d for %r" % (g, curve))
     return g
 
 
@@ -122,7 +116,9 @@ def cohomology_oc(curve: CurveFamily, a: int) -> CurveCohomology:
             + h0_o_p3(a - curve.d1 - curve.d2)
         )
     h1 = h0 - chi
-    assert h0 >= 0 and h1 >= 0
+    if h0 < 0 or h1 < 0:
+        raise CertificateError("negative cohomology (%d, %d) of O_C(%d) on %r"
+                               % (h0, h1, a, curve))
     return CurveCohomology(h0, h1)
 
 
@@ -149,11 +145,3 @@ def h1_normal(curve: CurveFamily) -> int:
         return 0
     return cohomology_oc(curve, curve.d1).h1 + cohomology_oc(curve, curve.d2).h1
 
-
-def dim_hilb(curve: CurveFamily) -> int:
-    """Dimension of the Hilbert scheme at the curve (tangent-space reading).
-
-    This is h0(N_{C/P^3}) by deformation theory; see h1_normal for the
-    obstruction data.
-    """
-    return h0_normal(curve)

@@ -11,10 +11,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-# `Fraction` already guarantees lowest terms and a positive denominator,
-# which is all the exactness contract asks for.
-Rational = Fraction
-
 MAX_DEGREE = 3
 
 
@@ -58,10 +54,6 @@ class HilbertPolynomial:
                 nxt[k + 1] += a
             coeffs = nxt
         return cls(Fraction(c, math.factorial(i)) for c in coeffs)
-
-    @property
-    def coefficients(self) -> tuple[Fraction, ...]:
-        return self._coeffs
 
     @property
     def degree(self) -> int:
@@ -131,9 +123,6 @@ class HilbertPolynomial:
         return HilbertPolynomial(
             self.coefficient(k) - other.coefficient(k) for k in range(n)
         )
-
-    def __neg__(self) -> "HilbertPolynomial":
-        return HilbertPolynomial(-a for a in self._coeffs)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HilbertPolynomial):

@@ -14,6 +14,11 @@ from fractions import Fraction
 from .exactpoly import HilbertPolynomial
 
 
+class CertificateError(RuntimeError):
+    """An identity that exact arithmetic guarantees did not hold.  Not a
+    ValueError, so input validation never swallows a broken certificate."""
+
+
 @dataclass(frozen=True)
 class ChernData:
     """Chern classes (rank, c1, c2, c3) of a sheaf on P^3.
@@ -39,7 +44,8 @@ class ChernData:
 def chi_o_p3(j: int) -> int:
     """chi(O_P3(j)) = (j+1)(j+2)(j+3)/6, exact for every integer j."""
     num = (j + 1) * (j + 2) * (j + 3)
-    assert num % 6 == 0
+    if num % 6 != 0:
+        raise CertificateError("chi(O(%d)) has numerator %d" % (j, num))
     return num // 6
 
 

@@ -1,9 +1,9 @@
 """Serialization of atlases and reports: JSON, CSV and plain tables.
 
-One canonical textual form is used everywhere for descriptors: the
-reflexive side is "S:a,b,c" or "V:m", the curve side "R:d" or "CI:d1,d2".
-The same strings appear in CLI flags, CSV cells and JSON, so output can be
-fed back into the describe command.  JSON keeps every value exact: all
+Descriptors are written with the one codec in transform: the reflexive
+side is "S:a,b,c" or "V:m", the curve side "R:d" or "CI:d1,d2".  The same
+strings appear in CLI flags, CSV cells and JSON, so output can be fed back
+into the describe command.  JSON keeps every value exact: all
 integers are JSON numbers and the only rationals (inside erratum notes)
 are emitted as {"num": ..., "den": ...} objects.
 """
@@ -16,9 +16,13 @@ import json
 from fractions import Fraction
 
 from .atlas import Atlas, VerificationSummary, PUBLISHED_M3_PRIOR_COMPONENTS
-from .curvecoh import CompleteIntersection, CurveFamily, RationalCurve
-from .families import IdealExtension, ReflexiveFamily, SplitResolution
-from .transform import ComponentDescriptor, ComponentReport, ErratumNote
+from .transform import (
+    ComponentReport,
+    ErratumNote,
+    curve_tag,
+    dedup_notes,
+    reflexive_tag,
+)
 
 SCHEMA_VERSION = "1"
 
@@ -26,48 +30,6 @@ CSV_HEADER = (
     "k", "reflexive", "curve", "s", "degL", "chiL", "chiHomFL",
     "dim", "tangentDim", "conditions", "notes",
 )
-
-
-def reflexive_tag(fam: ReflexiveFamily) -> str:
-    if isinstance(fam, SplitResolution):
-        return "S:%d,%d,%d" % (fam.a, fam.b, fam.c)
-    return "V:%d" % fam.m
-
-
-def curve_tag(curve: CurveFamily) -> str:
-    if isinstance(curve, RationalCurve):
-        return "R:%d" % curve.d
-    return "CI:%d,%d" % (curve.d1, curve.d2)
-
-
-def parse_reflexive(text: str) -> ReflexiveFamily:
-    """Parse "S:a,b,c" or "V:m"; raises ValueError on anything else."""
-    kind, _, rest = text.partition(":")
-    parts = rest.split(",") if rest else []
-    try:
-        numbers = [int(p) for p in parts]
-    except ValueError:
-        raise ValueError("cannot parse reflexive family %r" % text) from None
-    if kind == "S" and len(numbers) == 3:
-        return SplitResolution(*numbers)
-    if kind == "V" and len(numbers) == 1:
-        return IdealExtension(numbers[0])
-    raise ValueError("cannot parse reflexive family %r" % text)
-
-
-def parse_curve(text: str) -> CurveFamily:
-    """Parse "R:d" or "CI:d1,d2"; raises ValueError on anything else."""
-    kind, _, rest = text.partition(":")
-    parts = rest.split(",") if rest else []
-    try:
-        numbers = [int(p) for p in parts]
-    except ValueError:
-        raise ValueError("cannot parse curve family %r" % text) from None
-    if kind == "R" and len(numbers) == 1:
-        return RationalCurve(numbers[0])
-    if kind == "CI" and len(numbers) == 2:
-        return CompleteIntersection(*numbers)
-    raise ValueError("cannot parse curve family %r" % text)
 
 
 def _json_value(value):
@@ -134,7 +96,8 @@ def atlas_to_dict(atlas: Atlas) -> dict:
         "k": atlas.k,
         "options": {
             "min_curve_degree": atlas.options.min_curve_degree,
-            "include_erratum_families": atlas.options.include_erratum_families,
+            # Flagged families are always listed; schema 1 keeps the key.
+            "include_erratum_families": True,
         },
         "reports": [report_to_dict(r) for r in atlas.reports],
     }
@@ -153,16 +116,6 @@ def report_json(report: ComponentReport) -> str:
                     "report": report_to_dict(report)})
 
 
-def _conditions_cell(report: ComponentReport) -> str:
-    return "|".join(
-        "%s=%s" % (v.condition, v.status.value) for v in report.verdicts
-    )
-
-
-def _notes_cell(report: ComponentReport) -> str:
-    return "; ".join(n.message for n in report.erratum_notes)
-
-
 def _csv_row(report: ComponentReport) -> list:
     d = report.descriptor
     return [
@@ -175,8 +128,9 @@ def _csv_row(report: ComponentReport) -> list:
         report.chi_hom_fl,
         report.dim_component,
         report.dim_tangent,
-        _conditions_cell(report),
-        _notes_cell(report),
+        "|".join("%s=%s" % (v.condition, v.status.value)
+                 for v in report.verdicts),
+        "; ".join(n.message for n in report.erratum_notes),
     ]
 
 
@@ -265,8 +219,6 @@ def verification_text(summaries: list[VerificationSummary],
                       module_checks) -> str:
     """Human-readable verification transcript."""
     lines = []
-    all_notes: list[ErratumNote] = []
-    seen_notes = set()
     for summary in summaries:
         status = "PASS" if summary.ok else "FAIL"
         total_passed = sum(c.passed for c in summary.checks)
@@ -278,11 +230,6 @@ def verification_text(summaries: list[VerificationSummary],
             if check.failed:
                 lines.append("    FAIL %s: %s" % (
                     check.name, "; ".join(check.failures)))
-        for note in summary.erratum_notes:
-            key = (note.code, note.values)
-            if key not in seen_notes:
-                seen_notes.add(key)
-                all_notes.append(note)
     lines.append("module invariant suites:")
     for check in module_checks:
         status = "PASS" if check.failed == 0 else "FAIL"
@@ -290,6 +237,7 @@ def verification_text(summaries: list[VerificationSummary],
                                                 check.passed + check.failed))
         if check.failed:
             lines.append("    failures: %s" % "; ".join(check.failures))
+    all_notes = dedup_notes(n for s in summaries for n in s.erratum_notes)
     if all_notes:
         lines.append("discrepancies vs published closed forms and values:")
         for note in all_notes:

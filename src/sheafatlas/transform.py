@@ -1,13 +1,14 @@
 """Bookkeeping for one elementary transformation (R, H1, s).
 
 A descriptor picks a reflexive family R, a curve family H1 and a number s
-of extra points.  The transformed sheaf E is the kernel of a surjection
-from a family member F onto L + O_W, where L is a line bundle on the curve
-and W is a set of s points.  Everything derived from that datum is computed
-here: the invariants of L forced by c3(E) = 0, the Chern classes of E, the
-admissibility ledger, the orbit-space and component dimensions, and an
-independent tangent-space assembly that must reproduce the component
-dimension exactly.
+of extra points; the one codec for its tags ("S:a,b,c" or "V:m", "R:d" or
+"CI:d1,d2") lives here.  The transformed sheaf E is the kernel of a
+surjection from a family member F onto L + O_W, where L is a line bundle on
+the curve and W is a set of s points.  Everything derived from that datum
+is computed here: the invariants of L forced by c3(E) = 0, the Chern
+classes of E, the admissibility ledger, the orbit-space and component
+dimensions, and an independent tangent-space assembly that must reproduce
+the component dimension exactly.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .curvecoh import (
+    CompleteIntersection,
     CurveFamily,
     RationalCurve,
-    dim_hilb,
     genus,
     h0_normal,
     h1_normal,
@@ -37,7 +38,7 @@ from .families import (
     half_c3,
     hp_of_family,
 )
-from .p3rr import ChernData, chern_from_hp, hp_o_p3
+from .p3rr import CertificateError, ChernData, chern_from_hp, hp_o_p3
 
 DEFAULT_MIN_CURVE_DEGREE = 2
 
@@ -88,6 +89,43 @@ class ComponentDescriptor:
 M3_DESCRIPTOR = ComponentDescriptor(IdealExtension(1), RationalCurve(2), 0)
 
 
+def reflexive_tag(fam: ReflexiveFamily) -> str:
+    if isinstance(fam, SplitResolution):
+        return "S:%d,%d,%d" % (fam.a, fam.b, fam.c)
+    return "V:%d" % fam.m
+
+
+def curve_tag(curve: CurveFamily) -> str:
+    if isinstance(curve, RationalCurve):
+        return "R:%d" % curve.d
+    return "CI:%d,%d" % (curve.d1, curve.d2)
+
+
+def _parse_tag(text: str, side: str, kinds: dict):
+    """Split "KIND:n1,...", then build kinds[KIND] = (constructor, arity)."""
+    kind, _, rest = text.partition(":")
+    try:
+        numbers = [int(p) for p in rest.split(",")] if rest else []
+    except ValueError:
+        raise ValueError("cannot parse %s family %r" % (side, text)) from None
+    constructor, arity = kinds.get(kind, (None, -1))
+    if len(numbers) != arity:
+        raise ValueError("cannot parse %s family %r" % (side, text))
+    return constructor(*numbers)
+
+
+def parse_reflexive(text: str) -> ReflexiveFamily:
+    """Parse "S:a,b,c" or "V:m"; raises ValueError on anything else."""
+    return _parse_tag(text, "reflexive",
+                      {"S": (SplitResolution, 3), "V": (IdealExtension, 1)})
+
+
+def parse_curve(text: str) -> CurveFamily:
+    """Parse "R:d" or "CI:d1,d2"; raises ValueError on anything else."""
+    return _parse_tag(text, "curve", {"R": (RationalCurve, 1),
+                                      "CI": (CompleteIntersection, 2)})
+
+
 @dataclass(frozen=True)
 class ConditionVerdict:
     condition: str
@@ -118,6 +156,14 @@ class ErratumNote:
             if k == key:
                 return v
         raise KeyError(key)
+
+
+def dedup_notes(notes) -> tuple[ErratumNote, ...]:
+    """The notes in first-seen order, one per (code, values)."""
+    first: dict = {}
+    for note in notes:
+        first.setdefault((note.code, note.values), note)
+    return tuple(first.values())
 
 
 @dataclass(frozen=True)
@@ -217,14 +263,15 @@ def dim_component(d: ComponentDescriptor) -> int:
     """Dimension of the moduli component built from the descriptor.
 
     dim R + dim Sym^s(P^3) + (dim Hilb(C) + g) + dim Hom(F,Q)/Aut(Q)
-    - dim PAut(F); the genus term is the Jacobian of the curve, and the
-    point count contributes 3 per point.
+    - dim PAut(F); the genus term is the Jacobian of the curve, the point
+    count contributes 3 per point, and dim Hilb(C) is read off the tangent
+    space h0(N_C) (see h1_normal for the obstruction data).
     """
     fam = d.reflexive
     return (
         dim_moduli(fam)
         + 3 * d.s
-        + dim_hilb(d.curve)
+        + h0_normal(d.curve)
         + genus(d.curve)
         + hom_orbit_dim(d)
         - dim_paut(fam)
@@ -359,10 +406,11 @@ def eq_constraint_failures(d: ComponentDescriptor) -> tuple[str, ...]:
     )
 
 
-def is_admissible(
-    d: ComponentDescriptor, min_curve_degree: int = DEFAULT_MIN_CURVE_DEGREE
-) -> bool:
-    return not eq_constraint_failures(d) and d.curve.degree >= min_curve_degree
+def check_curve_degree_floor(floor: int) -> int:
+    """Return the curve-degree floor, rejecting floors below 1."""
+    if floor < 1:
+        raise ValueError("curve-degree floor must be positive")
+    return floor
 
 
 def stability_margin(d: ComponentDescriptor) -> HilbertPolynomial:
@@ -383,7 +431,8 @@ def stability_margin(d: ComponentDescriptor) -> HilbertPolynomial:
     g = genus(d.curve)
     p_ideal = hp_o_p3() - HilbertPolynomial([1 - g + d.s, d.curve.degree])
     margin = half_p_e - p_ideal
-    assert margin.degree <= 1
+    if margin.degree > 1:
+        raise CertificateError("stability margin %r is not linear" % margin)
     return margin
 
 
@@ -472,12 +521,15 @@ def assemble_report(d: ComponentDescriptor) -> ComponentReport:
     chern_e = chern_of_e(d)
     dim = dim_component(d)
     tangent = dim_tangent(d)
-    assert dim == tangent, "assembly mismatch: %d vs %d" % (dim, tangent)
-    assert chern_e.c2 == chern_of(fam).c2 + d.curve.degree
+    if dim != tangent:
+        raise CertificateError("assembly mismatch: %d vs %d" % (dim, tangent))
+    if chern_e.c2 != chern_of(fam).c2 + d.curve.degree:
+        raise CertificateError("c2(E) = %d is not c2(R) + deg(C)" % chern_e.c2)
     closed = None
     if isinstance(fam, SplitResolution):
         closed = chern_sabc_closed(fam.a, fam.b, fam.c)
-        assert closed[0] == chern_of(fam).c2
+        if closed[0] != chern_of(fam).c2:
+            raise CertificateError("closed-form c2 %d disagrees" % closed[0])
     return ComponentReport(
         descriptor=d,
         k=chern_e.c2,

@@ -100,21 +100,6 @@ def test_determinism():
     assert enumerate_components(opts) == enumerate_components(opts)
 
 
-def test_exclude_erratum_families():
-    # at k = 11 and curve degree 2 the only split triple has c2 = 9,
-    # which is the mixed triple (1,0,1) with the wrong closed-form c3
-    keep = enumerate_components(EnumerationOptions(k=11))
-    drop = enumerate_components(
-        EnumerationOptions(k=11, include_erratum_families=False))
-    kept_triples = {r.descriptor.reflexive for r in keep.reports
-                    if isinstance(r.descriptor.reflexive, SplitResolution)}
-    dropped_triples = {r.descriptor.reflexive for r in drop.reports
-                       if isinstance(r.descriptor.reflexive, SplitResolution)}
-    assert SplitResolution(1, 0, 1) in kept_triples
-    assert SplitResolution(1, 0, 1) not in dropped_triples
-    assert dropped_triples < kept_triples
-
-
 def test_brute_force_completeness():
     for k in range(3, 13):
         atlas = enumerate_components(EnumerationOptions(k=k))

@@ -164,5 +164,31 @@ def test_output_to_file(tmp_path, capsys):
     assert len(payload["reports"]) == 5
 
 
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "--c2", "4"),
+    ("describe", "--reflexive", "V:1", "--curve", "R:2", "--points", "0"),
+    ("describe", "--reflexive", "V:2", "--curve", "R:2", "--points", "0"),
+    ("verify", "--max-k", "3"),
+], ids=["enumerate", "describe", "describe-inadmissible", "verify"])
+def test_unwritable_output_is_usage_error(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "x"
+    code, out, err = run(capsys, *argv, "--output", str(target))
+    assert code == 2
+    assert out == ""
+    assert "error: cannot write output: " in err
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "--c2", "4"),
+    ("describe", "--reflexive", "V:1", "--curve", "R:2", "--points", "0"),
+], ids=["enumerate", "describe"])
+def test_nonpositive_curve_degree_floor_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv, "--min-curve-degree", "-5")
+    assert code == 2
+    assert out == ""
+    assert err == "error: curve-degree floor must be positive\n"
+
+
 def test_no_subcommand_is_usage_error(capsys):
     assert main([]) == 2

@@ -1,0 +1,54 @@
+"""The descriptor codec: every tag round-trips, malformed tags are refused."""
+
+import re
+from collections import Counter
+
+import pytest
+
+from sheafatlas.atlas import EnumerationOptions, enumerate_components
+from sheafatlas.transform import (
+    curve_tag,
+    parse_curve,
+    parse_reflexive,
+    reflexive_tag,
+)
+
+
+def test_every_enumerated_family_round_trips():
+    reflexives, curves = set(), set()
+    for k in range(3, 13):
+        atlas = enumerate_components(EnumerationOptions(k=k, min_curve_degree=1))
+        kinds = Counter(
+            (reflexive_tag(r.descriptor.reflexive).partition(":")[0],
+             curve_tag(r.descriptor.curve).partition(":")[0])
+            for r in atlas.reports
+        )
+        assert dict(atlas.summary) == dict(kinds)
+        reflexives |= {r.descriptor.reflexive for r in atlas.reports}
+        curves |= {r.descriptor.curve for r in atlas.reports}
+    kinds_seen = {reflexive_tag(f).partition(":")[0] for f in reflexives}
+    kinds_seen |= {curve_tag(c).partition(":")[0] for c in curves}
+    assert kinds_seen == {"S", "V", "R", "CI"}
+    for fam in reflexives:
+        assert parse_reflexive(reflexive_tag(fam)) == fam
+    for curve in curves:
+        assert parse_curve(curve_tag(curve)) == curve
+
+
+@pytest.mark.parametrize("text", ["S:1,2", "V:", "V:a", "X:1"])
+def test_malformed_reflexive_tag(text):
+    message = "cannot parse reflexive family %r" % text
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        parse_reflexive(text)
+
+
+@pytest.mark.parametrize("text", ["R:1,2", "CI:2"])
+def test_malformed_curve_tag(text):
+    message = "cannot parse curve family %r" % text
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        parse_curve(text)
+
+
+def test_excluded_complete_intersection_tag():
+    with pytest.raises(ValueError, match="excluded"):
+        parse_curve("CI:1,2")

@@ -8,7 +8,6 @@ from sheafatlas.curvecoh import (
     canonical_twist,
     chi_oc,
     cohomology_oc,
-    dim_hilb,
     genus,
     h0_normal,
     h1_normal,
@@ -112,9 +111,10 @@ def test_h0_normal_examples():
 
 
 def test_dim_hilb_examples():
-    assert dim_hilb(RationalCurve(2)) == 8
-    assert dim_hilb(CompleteIntersection(2, 2)) == 16
-    assert dim_hilb(RationalCurve(3)) == 12
+    # dim Hilb(C) is read off the tangent space h0(N_C)
+    assert h0_normal(RationalCurve(2)) == 8
+    assert h0_normal(CompleteIntersection(2, 2)) == 16
+    assert h0_normal(RationalCurve(3)) == 12
 
 
 def test_h1_normal_obstructed_case():

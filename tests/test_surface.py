@@ -1,0 +1,38 @@
+"""Guards against dead surface: unused imports and unresolvable exports."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import sheafatlas
+
+PACKAGE = Path(sheafatlas.__file__).parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by import statements that the module never reads."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_the_guard_sees_unused_imports():
+    source = "import os\nfrom .p3rr import chi_o_p3, h0_o_p3\nh0_o_p3(1)\n"
+    assert unused_imports(source) == ["chi_o_p3", "os"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_every_exported_name_resolves():
+    assert [n for n in sheafatlas.__all__ if not hasattr(sheafatlas, n)] == []

@@ -1,9 +1,14 @@
 """Elementary-transformation bookkeeping and the tangent-space cross-check."""
 
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
 
+import sheafatlas
 from sheafatlas.atlas import EnumerationOptions, enumerate_components
 from sheafatlas.curvecoh import CompleteIntersection, RationalCurve, genus
 from sheafatlas.families import IdealExtension, SplitResolution, half_c3
@@ -204,6 +209,29 @@ def test_assemble_report_on_inadmissible_descriptor():
     assert report.dim_component == report.dim_tangent
     statuses = {v.condition: v.status for v in report.verdicts}
     assert statuses["degree-bound"] is ConditionStatus.FAILS
+
+
+def test_certificates_survive_python_O():
+    # `python -O` strips assert statements; a broken assembly must still
+    # be refused, and not as a ValueError the CLI fallback would swallow.
+    script = textwrap.dedent("""
+        import sys
+        from sheafatlas import transform
+        real = transform.dim_tangent
+        transform.dim_tangent = lambda d: real(d) + 1
+        try:
+            transform.build_report(transform.M3_DESCRIPTOR)
+        except Exception as exc:
+            print("optimize=%d raised %s" % (sys.flags.optimize,
+                                             type(exc).__name__))
+        else:
+            print("optimize=%d accepted" % sys.flags.optimize)
+    """)
+    src = os.path.dirname(os.path.dirname(sheafatlas.__file__))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "optimize=1 raised CertificateError\n"
 
 
 def test_transformed_chern_all_descriptors():
