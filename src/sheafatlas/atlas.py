@@ -32,6 +32,7 @@ from .transform import (
     chi_hom_fl,
     curve_tag,
     dedup_notes,
+    max_points,
     reflexive_tag,
     stability_margin,
 )
@@ -144,13 +145,6 @@ def _reflexive_families(c2: int, curve_degree: int) -> list[ReflexiveFamily]:
     return fams
 
 
-def _s_range(fam: ReflexiveFamily, curve: CurveFamily) -> range:
-    n = half_c3(fam)
-    if isinstance(curve, RationalCurve):
-        return range(n)
-    return range(n + 1)
-
-
 def _kind(tag: str) -> str:
     """The family kind of a descriptor tag: "S", "V", "R" or "CI"."""
     return tag.partition(":")[0]
@@ -163,11 +157,11 @@ def enumerate_components(opts: EnumerationOptions) -> Atlas:
     reports: list[ComponentReport] = []
     counts: dict[tuple[str, str], int] = {}
     for d in range(opts.min_curve_degree, opts.k):
-        c2_r = opts.k - d
+        fams = _reflexive_families(opts.k - d, d)
         for curve in curve_families_of_degree(d):
-            for fam in _reflexive_families(c2_r, d):
+            for fam in fams:
                 key = (_kind(reflexive_tag(fam)), _kind(curve_tag(curve)))
-                for s in _s_range(fam, curve):
+                for s in range(max_points(fam, curve) + 1):
                     report = build_report(
                         ComponentDescriptor(fam, curve, s),
                         min_curve_degree=opts.min_curve_degree,

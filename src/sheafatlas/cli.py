@@ -4,9 +4,10 @@ Three subcommands: `enumerate` lists every component for a target c2,
 `describe` prints the full report for a single descriptor, and `verify`
 runs the invariant suites.  Exit codes are stable: 0 on success, 1 when
 `verify` finds a failing check, 2 on a usage error (including an
-unwritable --output path), 3 when a described descriptor is inadmissible
-(the report is still printed, with the failing verdicts).  Output is
-deterministic; no environment variables or randomness are consulted.
+unwritable --output path or stdout), 3 when a described descriptor is
+inadmissible (the report is still printed, with the failing verdicts).
+Output is deterministic; no environment variables or randomness are
+consulted.
 """
 
 from __future__ import annotations
@@ -31,6 +32,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def add_common(p):
+        p.add_argument("--min-curve-degree", type=int,
+                       default=transform.DEFAULT_MIN_CURVE_DEGREE, metavar="D",
+                       help="curve-degree floor (default %(default)s)")
         p.add_argument("--format", choices=("table", "json", "csv"),
                        default="table", help="output format")
         p.add_argument("--output", metavar="PATH", default=None,
@@ -39,16 +43,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_enum = sub.add_parser("enumerate", help="list all components for a c2")
     p_enum.add_argument("--c2", type=int, required=True, metavar="K",
                         help="target second Chern class (k >= 3)")
-    p_enum.add_argument("--min-curve-degree", type=int, default=None,
-                        metavar="D", help="curve-degree floor (default 2)")
     add_common(p_enum)
 
     p_desc = sub.add_parser("describe", help="report for one descriptor")
     p_desc.add_argument("--reflexive", required=True, metavar="S:a,b,c|V:m")
     p_desc.add_argument("--curve", required=True, metavar="R:d|CI:d1,d2")
     p_desc.add_argument("--points", type=int, required=True, metavar="S")
-    p_desc.add_argument("--min-curve-degree", type=int, default=None,
-                        metavar="D", help="curve-degree floor (default 2)")
     add_common(p_desc)
 
     p_verify = sub.add_parser("verify", help="run the invariant suites")
@@ -60,48 +60,34 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(text: str, path: str | None, code: int) -> int:
-    """Write the output; returns `code`, or USAGE_ERROR if PATH fails."""
-    if path is None:
-        sys.stdout.write(text)
-        return code
+    """Write the output; returns `code`, or USAGE_ERROR if writing fails."""
     try:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        if path is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
     except OSError as exc:
         print("error: cannot write output: %s" % exc, file=sys.stderr)
         return USAGE_ERROR
     return code
 
 
-def _min_degree(args) -> int:
-    if args.min_curve_degree is None:
-        return transform.DEFAULT_MIN_CURVE_DEGREE
-    return args.min_curve_degree
+def _render(kind: str, value, fmt: str) -> str:
+    """render.<kind>_<fmt>(value), e.g. render.atlas_json(atlas)."""
+    return getattr(render, "%s_%s" % (kind, fmt))(value)
 
 
 def _run_enumerate(args) -> int:
     try:
         opts = atlas_mod.EnumerationOptions(
-            k=args.c2, min_curve_degree=_min_degree(args))
+            k=args.c2, min_curve_degree=args.min_curve_degree)
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return USAGE_ERROR
     result = atlas_mod.enumerate_components(opts)
-    if args.format == "json":
-        text = render.atlas_json(result)
-    elif args.format == "csv":
-        text = render.atlas_csv(result)
-    else:
-        text = render.atlas_table(result)
-    return _emit(text, args.output, 0)
-
-
-def _render_report(report, fmt: str) -> str:
-    if fmt == "json":
-        return render.report_json(report)
-    if fmt == "csv":
-        return render.report_csv(report)
-    return render.report_table(report)
+    return _emit(_render("atlas", result, args.format), args.output, 0)
 
 
 def _run_describe(args) -> int:
@@ -109,7 +95,7 @@ def _run_describe(args) -> int:
         reflexive = parse_reflexive(args.reflexive)
         curve = parse_curve(args.curve)
         descriptor = ComponentDescriptor(reflexive, curve, args.points)
-        min_degree = transform.check_curve_degree_floor(_min_degree(args))
+        min_degree = transform.check_curve_degree_floor(args.min_curve_degree)
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return USAGE_ERROR
@@ -127,11 +113,11 @@ def _run_describe(args) -> int:
                 print("  %-24s %-18s %s" % (v.condition, v.status.value,
                                             v.note), file=sys.stderr)
         else:
-            code = _emit(_render_report(report, args.format), args.output,
+            code = _emit(_render("report", report, args.format), args.output,
                          INADMISSIBLE)
         print("inadmissible: %s" % exc, file=sys.stderr)
         return code
-    return _emit(_render_report(report, args.format), args.output, 0)
+    return _emit(_render("report", report, args.format), args.output, 0)
 
 
 def _run_verify(args) -> int:

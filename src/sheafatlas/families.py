@@ -15,7 +15,6 @@ an exact rational and audited, never trusted.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,8 +22,6 @@ from functools import lru_cache
 
 from .exactpoly import HilbertPolynomial
 from .p3rr import ChernData, chern_from_hp, hp_from_chern, hp_o_p3
-
-logger = logging.getLogger(__name__)
 
 
 def _validate_exponents(a: int, b: int, c: int) -> int:
@@ -116,27 +113,14 @@ def chern_sabc_closed(a: int, b: int, c: int) -> tuple[int, Fraction]:
 
 @lru_cache(maxsize=None)
 def chern_of(family: ReflexiveFamily) -> ChernData:
-    """Chern data of a family member; the resolution route is authoritative.
+    """Chern data of a family member from the resolution route.
 
-    For the split family the closed forms are compared against the result
-    and any mismatch is logged (c3 mismatches are a known defect of the
-    closed form and are additionally reported by the transform module).
+    This is the authoritative oracle; the closed forms are audited against
+    it by the transform module (c2 certified, c3 flagged as a note).
     """
     if isinstance(family, IdealExtension):
         return ChernData(2, 0, family.m, 4 * family.m - 2)
-    data = chern_from_hp(hp_of_resolution(family.a, family.b, family.c))
-    closed_c2, closed_c3 = chern_sabc_closed(family.a, family.b, family.c)
-    if closed_c2 != data.c2:
-        logger.warning(
-            "closed-form c2 disagrees with the resolution route on %s: %d vs %d",
-            family, closed_c2, data.c2,
-        )
-    if closed_c3 != data.c3:
-        logger.debug(
-            "closed-form c3 disagrees with the resolution route on %s: %s vs %d",
-            family, closed_c3, data.c3,
-        )
-    return data
+    return chern_from_hp(hp_of_resolution(family.a, family.b, family.c))
 
 
 def hp_of_family(family: ReflexiveFamily) -> HilbertPolynomial:
@@ -170,14 +154,13 @@ def dim_moduli(family: ReflexiveFamily) -> int:
 def ext_profile(family: ReflexiveFamily) -> ExtProfile:
     """Ext^i(F, F) dimensions for a general member.
 
-    Split family members are simple with unobstructed deformations:
-    (1, 8*c2-3, 0, 0).  Ideal extensions have a two-dimensional
-    endomorphism algebra, ext1 equal to the moduli dimension 8m-2, and
-    vanishing ext2/ext3 under the rational-curve convention.
+    Split family members are simple with unobstructed deformations;
+    ideal extensions have a two-dimensional endomorphism algebra.  Both
+    have ext1 equal to the moduli dimension, and ext2 = ext3 = 0 (for
+    extensions under the rational-curve convention).
     """
-    if isinstance(family, SplitResolution):
-        return ExtProfile(1, dim_moduli(family), 0, 0)
-    return ExtProfile(2, 8 * family.m - 2, 0, 0)
+    hom = 1 if isinstance(family, SplitResolution) else 2
+    return ExtProfile(hom, dim_moduli(family), 0, 0)
 
 
 def dim_paut(family: ReflexiveFamily) -> int:

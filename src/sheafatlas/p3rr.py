@@ -88,6 +88,4 @@ def chern_from_hp(p: HilbertPolynomial) -> ChernData:
     c3 = 2 * (p0 - 2 + 2 * c2)
     if c3.denominator != 1:
         raise ValueError("non-integral c3 recovered: %s" % c3)
-    if int(c3) % 2 != 0:
-        raise ValueError("odd c3 recovered: %s" % c3)
     return ChernData(2, 0, int(c2), int(c3))

@@ -215,6 +215,13 @@ def report_table(report: ComponentReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _failure_list(check) -> str:
+    """The kept failing labels, with a count of those that were dropped."""
+    text = "; ".join(check.failures)
+    dropped = check.failed - len(check.failures)
+    return text + (" (and %d more)" % dropped if dropped > 0 else "")
+
+
 def verification_text(summaries: list[VerificationSummary],
                       module_checks) -> str:
     """Human-readable verification transcript."""
@@ -228,15 +235,15 @@ def verification_text(summaries: list[VerificationSummary],
                         len(summary.erratum_notes)))
         for check in summary.checks:
             if check.failed:
-                lines.append("    FAIL %s: %s" % (
-                    check.name, "; ".join(check.failures)))
+                lines.append("    FAIL %s: %s" % (check.name,
+                                                 _failure_list(check)))
     lines.append("module invariant suites:")
     for check in module_checks:
         status = "PASS" if check.failed == 0 else "FAIL"
         lines.append("  %-32s %s (%d cases)" % (check.name, status,
                                                 check.passed + check.failed))
         if check.failed:
-            lines.append("    failures: %s" % "; ".join(check.failures))
+            lines.append("    failures: %s" % _failure_list(check))
     all_notes = dedup_notes(n for s in summaries for n in s.erratum_notes)
     if all_notes:
         lines.append("discrepancies vs published closed forms and values:")

@@ -102,14 +102,18 @@ def curve_tag(curve: CurveFamily) -> str:
 
 
 def _parse_tag(text: str, side: str, kinds: dict):
-    """Split "KIND:n1,...", then build kinds[KIND] = (constructor, arity)."""
+    """Split "KIND:n1,...", then build kinds[KIND] = (constructor, arity).
+
+    Only canonical tags are accepted: the numbers must print back exactly
+    as given, so "R:03", "R:+3" or "R: 3" are refused, not read as "R:3".
+    """
     kind, _, rest = text.partition(":")
     try:
         numbers = [int(p) for p in rest.split(",")] if rest else []
     except ValueError:
-        raise ValueError("cannot parse %s family %r" % (side, text)) from None
+        numbers = []
     constructor, arity = kinds.get(kind, (None, -1))
-    if len(numbers) != arity:
+    if len(numbers) != arity or ",".join(map(str, numbers)) != rest:
         raise ValueError("cannot parse %s family %r" % (side, text))
     return constructor(*numbers)
 
@@ -195,9 +199,10 @@ def deg_l(d: ComponentDescriptor) -> int:
     return chi_l(d) + genus(d.curve) - 1
 
 
-def hp_of_quotient(d: ComponentDescriptor) -> HilbertPolynomial:
-    """Hilbert polynomial of Q = L + O_W: chi(L) + deg(C)*t + s."""
-    return HilbertPolynomial([chi_l(d) + d.s, d.curve.degree])
+def hp_of_e(d: ComponentDescriptor) -> HilbertPolynomial:
+    """P(E) = P(F) - P(Q); Q = L + O_W has P(Q) = chi(L) + deg(C)*t + s."""
+    return hp_of_family(d.reflexive) - HilbertPolynomial(
+        [chi_l(d) + d.s, d.curve.degree])
 
 
 def chern_of_e(d: ComponentDescriptor) -> ChernData:
@@ -206,8 +211,7 @@ def chern_of_e(d: ComponentDescriptor) -> ChernData:
     The result must come out as (2, 0, c2(R) + deg(C), 0); anything else
     means chi(L) was overridden inconsistently somewhere upstream.
     """
-    p_e = hp_of_family(d.reflexive) - hp_of_quotient(d)
-    data = chern_from_hp(p_e)
+    data = chern_from_hp(hp_of_e(d))
     if data.c3 != 0:
         raise ValueError("c3 of the transformed sheaf is %d, not 0" % data.c3)
     return data
@@ -312,6 +316,13 @@ def dim_tangent(d: ComponentDescriptor) -> int:
     )
 
 
+def max_points(fam: ReflexiveFamily, curve: CurveFamily) -> int:
+    """The largest admissible s: n = c3(R)/2, or n - 1 on a rational curve,
+    where the bound is strict."""
+    n = half_c3(fam)
+    return n - 1 if isinstance(curve, RationalCurve) else n
+
+
 def check_conditions(d: ComponentDescriptor) -> tuple[ConditionVerdict, ...]:
     """The full admissibility ledger; runs on any raw triple.
 
@@ -323,18 +334,15 @@ def check_conditions(d: ComponentDescriptor) -> tuple[ConditionVerdict, ...]:
     """
     fam, curve, s = d.reflexive, d.curve, d.s
     n = half_c3(fam)
-    rational = isinstance(curve, RationalCurve)
-    out = []
-
-    if rational:
-        ok = s < n
+    bound = max_points(fam, curve)
+    if bound < n:
         note = "s=%d < n=%d (strict for rational curves)" % (s, n)
     else:
-        ok = s <= n
         note = "s=%d <= n=%d" % (s, n)
+    out = []
     out.append(ConditionVerdict(
         "points-bound",
-        ConditionStatus.HOLDS if ok else ConditionStatus.FAILS,
+        ConditionStatus.HOLDS if s <= bound else ConditionStatus.FAILS,
         note,
     ))
 
@@ -426,8 +434,7 @@ def stability_margin(d: ComponentDescriptor) -> HilbertPolynomial:
     fam = d.reflexive
     if not isinstance(fam, IdealExtension):
         raise ValueError("stability margin applies to the extension family only")
-    p_e = hp_of_family(fam) - hp_of_quotient(d)
-    half_p_e = p_e.scale(Fraction(1, 2))
+    half_p_e = hp_of_e(d).scale(Fraction(1, 2))
     g = genus(d.curve)
     p_ideal = hp_o_p3() - HilbertPolynomial([1 - g + d.s, d.curve.degree])
     margin = half_p_e - p_ideal
@@ -444,26 +451,20 @@ def signature(d: ComponentDescriptor) -> SingularitySignature:
     )
 
 
-def _erratum_notes(d: ComponentDescriptor, dim: int) -> tuple[ErratumNote, ...]:
+def _erratum_notes(
+    d: ComponentDescriptor, dim: int, closed: tuple[int, Fraction] | None
+) -> tuple[ErratumNote, ...]:
     notes = []
-    fam = d.reflexive
-    if isinstance(fam, SplitResolution):
-        closed_c3 = chern_sabc_closed(fam.a, fam.b, fam.c)[1]
-        oracle = chern_of(fam)
-        if closed_c3 != oracle.c3:
-            notes.append(ErratumNote(
-                code="closed-form-c3-mismatch",
-                message=(
-                    "closed-form c3 for S:%d,%d,%d gives %s; the resolution "
-                    "route gives %d and is used" % (fam.a, fam.b, fam.c,
-                                                    closed_c3, oracle.c3)
-                ),
-                values=(
-                    ("triple", "S:%d,%d,%d" % (fam.a, fam.b, fam.c)),
-                    ("closed_form", closed_c3),
-                    ("resolution_oracle", oracle.c3),
-                ),
-            ))
+    oracle = chern_of(d.reflexive).c3
+    if closed is not None and closed[1] != oracle:
+        tag = reflexive_tag(d.reflexive)
+        notes.append(ErratumNote(
+            code="closed-form-c3-mismatch",
+            message=("closed-form c3 for %s gives %s; the resolution route "
+                     "gives %d and is used" % (tag, closed[1], oracle)),
+            values=(("triple", tag), ("closed_form", closed[1]),
+                    ("resolution_oracle", oracle)),
+        ))
     if d == M3_DESCRIPTOR and dim != PUBLISHED_M3_DIMENSION:
         notes.append(ErratumNote(
             code="published-m3-values",
@@ -542,7 +543,7 @@ def assemble_report(d: ComponentDescriptor) -> ComponentReport:
         dim_tangent=tangent,
         verdicts=check_conditions(d),
         signature=signature(d),
-        erratum_notes=_erratum_notes(d, dim),
+        erratum_notes=_erratum_notes(d, dim, closed),
         reflexive_chern=chern_of(fam),
         reflexive_chern_closed=closed,
         normal_bundle_h1=h1_normal(d.curve),

@@ -3,9 +3,13 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import sheafatlas
 from sheafatlas.cli import main
 
 
@@ -177,6 +181,21 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys, argv):
     assert out == ""
     assert "error: cannot write output: " in err
     assert not target.exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs the /dev/full device")
+def test_failing_stdout_is_usage_error():
+    src = os.path.dirname(os.path.dirname(sheafatlas.__file__))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "sheafatlas.cli", "enumerate",
+             "--c2", "18"],
+            env=env, stdout=full, stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot write output: ")
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("argv", [

@@ -42,7 +42,8 @@ def test_malformed_reflexive_tag(text):
         parse_reflexive(text)
 
 
-@pytest.mark.parametrize("text", ["R:1,2", "CI:2"])
+@pytest.mark.parametrize("text", ["R:1,2", "CI:2", "R:+3", "R: 3", "R:03",
+                                  "R:1_0", "R:\u0663"])
 def test_malformed_curve_tag(text):
     message = "cannot parse curve family %r" % text
     with pytest.raises(ValueError, match="^%s$" % re.escape(message)):

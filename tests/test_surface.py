@@ -1,4 +1,5 @@
-"""Guards against dead surface: unused imports and unresolvable exports."""
+"""Guards against dead surface: unused imports, unreferenced private helpers
+and unresolvable exports."""
 
 import ast
 from pathlib import Path
@@ -32,6 +33,27 @@ def test_the_guard_sees_unused_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def dead_private_helpers(source: str) -> list[str]:
+    """Module-level `_name` functions and classes the module never reads."""
+    tree = ast.parse(source)
+    private = {n.name for n in tree.body
+               if isinstance(n, (ast.FunctionDef, ast.ClassDef))
+               and n.name.startswith("_")}
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted(private - used)
+
+
+def test_the_guard_sees_dead_private_helpers():
+    source = ("def _used():\n    pass\n\ndef _dead():\n    return _used()\n"
+              "\nclass _Gone:\n    pass\n")
+    assert dead_private_helpers(source) == ["_Gone", "_dead"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_dead_private_helpers(path):
+    assert dead_private_helpers(path.read_text(encoding="utf-8")) == []
 
 
 def test_every_exported_name_resolves():
