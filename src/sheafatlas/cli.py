@@ -17,7 +17,7 @@ import sys
 
 from . import atlas as atlas_mod
 from . import render, transform
-from .transform import ComponentDescriptor, parse_curve, parse_reflexive
+from .transform import ComponentDescriptor, canonical_int
 
 USAGE_ERROR = 2
 INADMISSIBLE = 3
@@ -32,7 +32,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def add_common(p):
-        p.add_argument("--min-curve-degree", type=int,
+        p.add_argument("--min-curve-degree", type=canonical_int,
                        default=transform.DEFAULT_MIN_CURVE_DEGREE, metavar="D",
                        help="curve-degree floor (default %(default)s)")
         p.add_argument("--format", choices=("table", "json", "csv"),
@@ -41,19 +41,20 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="write output to PATH instead of stdout")
 
     p_enum = sub.add_parser("enumerate", help="list all components for a c2")
-    p_enum.add_argument("--c2", type=int, required=True, metavar="K",
-                        help="target second Chern class (k >= 3)")
+    p_enum.add_argument("--c2", type=canonical_int, required=True,
+                        metavar="K", help="target second Chern class (k >= 3)")
     add_common(p_enum)
 
     p_desc = sub.add_parser("describe", help="report for one descriptor")
     p_desc.add_argument("--reflexive", required=True, metavar="S:a,b,c|V:m")
     p_desc.add_argument("--curve", required=True, metavar="R:d|CI:d1,d2")
-    p_desc.add_argument("--points", type=int, required=True, metavar="S")
+    p_desc.add_argument("--points", type=canonical_int, required=True,
+                        metavar="S")
     add_common(p_desc)
 
     p_verify = sub.add_parser("verify", help="run the invariant suites")
-    p_verify.add_argument("--max-k", type=int, default=12, metavar="K",
-                          help="verify atlases for 3 <= c2 <= K")
+    p_verify.add_argument("--max-k", type=canonical_int, default=12,
+                          metavar="K", help="verify atlases for 3 <= c2 <= K")
     p_verify.add_argument("--output", metavar="PATH", default=None)
 
     return parser
@@ -92,8 +93,8 @@ def _run_enumerate(args) -> int:
 
 def _run_describe(args) -> int:
     try:
-        reflexive = parse_reflexive(args.reflexive)
-        curve = parse_curve(args.curve)
+        reflexive = transform.parse_reflexive(args.reflexive)
+        curve = transform.parse_curve(args.curve)
         descriptor = ComponentDescriptor(reflexive, curve, args.points)
         min_degree = transform.check_curve_degree_floor(args.min_curve_degree)
     except ValueError as exc:

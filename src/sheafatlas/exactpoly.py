@@ -13,6 +13,10 @@ from fractions import Fraction
 
 MAX_DEGREE = 3
 
+# Power-basis coefficients of C(t+i, i) = (t+1)...(t+i) / i!, i = 0..3.
+_BINOMIAL_BASIS = ((1,), (1, 1), (1, Fraction(3, 2), Fraction(1, 2)),
+                   (1, Fraction(11, 6), 1, Fraction(1, 6)))
+
 
 class HilbertPolynomial:
     """A univariate polynomial of degree at most 3 over the rationals.
@@ -45,15 +49,7 @@ class HilbertPolynomial:
         """The binomial polynomial C(t+i, i) = (t+1)...(t+i) / i!."""
         if not 0 <= i <= MAX_DEGREE:
             raise ValueError("binomial index out of range")
-        coeffs = [Fraction(1)]
-        for j in range(1, i + 1):
-            # multiply by (t + j)
-            nxt = [Fraction(0)] * (len(coeffs) + 1)
-            for k, a in enumerate(coeffs):
-                nxt[k] += a * j
-                nxt[k + 1] += a
-            coeffs = nxt
-        return cls(Fraction(c, math.factorial(i)) for c in coeffs)
+        return cls(_BINOMIAL_BASIS[i])
 
     @property
     def degree(self) -> int:

@@ -124,9 +124,7 @@ def chern_of(family: ReflexiveFamily) -> ChernData:
 
 
 def hp_of_family(family: ReflexiveFamily) -> HilbertPolynomial:
-    """Hilbert polynomial of a family member (untwisted)."""
-    if isinstance(family, SplitResolution):
-        return hp_of_resolution(family.a, family.b, family.c)
+    """Hilbert polynomial of a family member (untwisted), from chern_of."""
     return hp_from_chern(chern_of(family))
 
 

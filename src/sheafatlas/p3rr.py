@@ -66,9 +66,8 @@ def hp_from_chern(c: ChernData) -> HilbertPolynomial:
     """
     if c.rank != 2 or c.c1 != 0:
         raise ValueError("only the rank-2, c1 = 0 calculus is supported")
-    p = hp_o_p3().scale(2)
-    p = p - HilbertPolynomial([2 * c.c2, c.c2])
-    return p + HilbertPolynomial([Fraction(c.c3, 2)])
+    return hp_o_p3().scale(2) - HilbertPolynomial(
+        [2 * c.c2 - Fraction(c.c3, 2), c.c2])
 
 
 def chern_from_hp(p: HilbertPolynomial) -> ChernData:

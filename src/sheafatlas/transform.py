@@ -101,19 +101,23 @@ def curve_tag(curve: CurveFamily) -> str:
     return "CI:%d,%d" % (curve.d1, curve.d2)
 
 
-def _parse_tag(text: str, side: str, kinds: dict):
-    """Split "KIND:n1,...", then build kinds[KIND] = (constructor, arity).
+def canonical_int(text: str) -> int:
+    """int(text) if it prints back as text: "-5", but not "05", "+5" or " 5"."""
+    if str(int(text)) != text:
+        raise ValueError("not a canonical integer: %r" % text)
+    return int(text)
 
-    Only canonical tags are accepted: the numbers must print back exactly
-    as given, so "R:03", "R:+3" or "R: 3" are refused, not read as "R:3".
-    """
+
+def _parse_tag(text: str, side: str, kinds: dict):
+    """Split "KIND:n1,...", then build kinds[KIND] = (constructor, arity);
+    "R:03", "R:+3" or "R: 3" are refused (canonical_int), not read as R:3."""
     kind, _, rest = text.partition(":")
     try:
-        numbers = [int(p) for p in rest.split(",")] if rest else []
+        numbers = [canonical_int(p) for p in rest.split(",")]
     except ValueError:
         numbers = []
     constructor, arity = kinds.get(kind, (None, -1))
-    if len(numbers) != arity or ",".join(map(str, numbers)) != rest:
+    if len(numbers) != arity:
         raise ValueError("cannot parse %s family %r" % (side, text))
     return constructor(*numbers)
 
@@ -213,7 +217,8 @@ def chern_of_e(d: ComponentDescriptor) -> ChernData:
     """
     data = chern_from_hp(hp_of_e(d))
     if data.c3 != 0:
-        raise ValueError("c3 of the transformed sheaf is %d, not 0" % data.c3)
+        raise CertificateError(
+            "c3 of the transformed sheaf is %d, not 0" % data.c3)
     return data
 
 
@@ -243,7 +248,7 @@ def chi_hom_fl(d: ComponentDescriptor) -> int:
             - fam.c * chi_l_twist(kappa + 1)
         )
         if via_resolution != value:
-            raise ValueError(
+            raise CertificateError(
                 "route mismatch for chi(Hom(F,L)): %d vs %d"
                 % (via_resolution, value)
             )

@@ -209,5 +209,21 @@ def test_nonpositive_curve_degree_floor_is_usage_error(capsys, argv):
     assert err == "error: curve-degree floor must be positive\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("describe", "--reflexive", "S:0,0,2", "--curve", "R:2",
+     "--points", "\u0660"),
+    ("enumerate", "--c2", "+5"),
+    ("enumerate", "--c2", "05"),
+    ("verify", "--max-k", "03"),
+    ("enumerate", "--c2", "4", "--min-curve-degree", "\u0662"),
+], ids=["points-arabic-indic-zero", "c2-plus", "c2-leading-zero",
+        "max-k-leading-zero", "floor-arabic-indic-two"])
+def test_non_canonical_numeric_flag_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+
+
 def test_no_subcommand_is_usage_error(capsys):
     assert main([]) == 2

@@ -18,7 +18,7 @@ from sheafatlas.families import (
     hp_of_family,
     hp_of_resolution,
 )
-from sheafatlas.p3rr import ChernData
+from sheafatlas.p3rr import ChernData, hp_from_chern
 
 
 def admissible_triples(max_weight):
@@ -81,6 +81,17 @@ def test_c3_parity_and_positivity():
         fam = IdealExtension(m)
         assert chern_of(fam).c3 == 4 * m - 2
         assert half_c3(fam) == 2 * m - 1
+
+
+def test_hp_of_family_is_the_resolution_polynomial():
+    # hp_of_family rebuilds the polynomial from the cached Chern data; for
+    # the split family that must be the resolution polynomial itself.
+    for (a, b, c) in admissible_triples(30):
+        assert hp_of_family(SplitResolution(a, b, c)) == hp_of_resolution(
+            a, b, c)
+    for m in range(1, 21):
+        family = IdealExtension(m)
+        assert hp_of_family(family) == hp_from_chern(chern_of(family))
 
 
 def test_family_hilbert_polynomials_are_numerical():

@@ -1,7 +1,9 @@
-"""Guards against dead surface: unused imports, unreferenced private helpers
-and unresolvable exports."""
+"""Guards against dead surface (unused imports, unreferenced private helpers,
+unresolvable exports) and against imports from outside the standard
+library."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -58,3 +60,27 @@ def test_no_dead_private_helpers(path):
 
 def test_every_exported_name_resolves():
     assert [n for n in sheafatlas.__all__ if not hasattr(sheafatlas, n)] == []
+
+
+def non_stdlib_imports(source: str) -> list[str]:
+    """Top-level packages of absolute imports outside the standard library."""
+    roots = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            roots |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots.add(node.module.split(".")[0])
+    return sorted(roots - set(sys.stdlib_module_names) - {"__future__"})
+
+
+def test_the_guard_sees_non_stdlib_imports():
+    source = ("from __future__ import annotations\nimport os.path\n"
+              "import sympy\nfrom fractions import Fraction\n"
+              "from .p3rr import chi_o_p3\nfrom . import render\n")
+    assert non_stdlib_imports(source) == ["sympy"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.stem)
+def test_stdlib_only(path):
+    assert non_stdlib_imports(path.read_text(encoding="utf-8")) == []

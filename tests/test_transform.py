@@ -9,10 +9,11 @@ from fractions import Fraction
 import pytest
 
 import sheafatlas
+from sheafatlas import transform
 from sheafatlas.atlas import EnumerationOptions, enumerate_components
 from sheafatlas.curvecoh import CompleteIntersection, RationalCurve, genus
 from sheafatlas.families import IdealExtension, SplitResolution, half_c3
-from sheafatlas.p3rr import ChernData
+from sheafatlas.p3rr import CertificateError, ChernData
 from sheafatlas.transform import (
     CONDITION_IDS,
     ComponentDescriptor,
@@ -232,6 +233,29 @@ def test_certificates_survive_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout == "optimize=1 raised CertificateError\n"
+
+
+def _chi_l_off_by_one(monkeypatch):
+    real = transform.chi_l
+    monkeypatch.setattr(transform, "chi_l", lambda d: real(d) + 1)
+
+
+def _kappa_off_by_one(monkeypatch):
+    monkeypatch.setattr(SplitResolution, "kappa", property(
+        lambda f: (3 * f.a + 2 * f.b + f.c) // 2 + 1))
+
+
+@pytest.mark.parametrize("breakage, descriptor, message", [
+    (_chi_l_off_by_one, V1_CONIC, "c3 of the transformed sheaf"),
+    (_kappa_off_by_one, S002_CONIC, "route mismatch"),
+], ids=["transformed-c3", "section-count-route"])
+def test_broken_certificates_raise_certificate_error(monkeypatch, breakage,
+                                                     descriptor, message):
+    # Not a ValueError: the CLI would report it as an inadmissible
+    # descriptor instead of a broken certificate.
+    breakage(monkeypatch)
+    with pytest.raises(CertificateError, match=message):
+        assemble_report(descriptor)
 
 
 def test_transformed_chern_all_descriptors():
