@@ -105,7 +105,6 @@ def _run_describe(args) -> int:
                                         min_curve_degree=min_degree)
     except transform.InadmissibleDescriptor as exc:
         # Best-effort report so the failing verdicts are visible.
-        code = INADMISSIBLE
         try:
             report = transform.assemble_report(descriptor)
         except ValueError:
@@ -113,9 +112,9 @@ def _run_describe(args) -> int:
             for v in transform.check_conditions(descriptor):
                 print("  %-24s %-18s %s" % (v.condition, v.status.value,
                                             v.note), file=sys.stderr)
-        else:
-            code = _emit(_render("report", report, args.format), args.output,
-                         INADMISSIBLE)
+            return INADMISSIBLE
+        code = _emit(_render("report", report, args.format), args.output,
+                     INADMISSIBLE)
         print("inadmissible: %s" % exc, file=sys.stderr)
         return code
     return _emit(_render("report", report, args.format), args.output, 0)

@@ -8,14 +8,9 @@ involved, which is what makes the parity checks downstream trustworthy.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 MAX_DEGREE = 3
-
-# Power-basis coefficients of C(t+i, i) = (t+1)...(t+i) / i!, i = 0..3.
-_BINOMIAL_BASIS = ((1,), (1, 1), (1, Fraction(3, 2), Fraction(1, 2)),
-                   (1, Fraction(11, 6), 1, Fraction(1, 6)))
 
 
 class HilbertPolynomial:
@@ -44,13 +39,6 @@ class HilbertPolynomial:
     def zero(cls) -> "HilbertPolynomial":
         return cls(())
 
-    @classmethod
-    def binomial(cls, i: int) -> "HilbertPolynomial":
-        """The binomial polynomial C(t+i, i) = (t+1)...(t+i) / i!."""
-        if not 0 <= i <= MAX_DEGREE:
-            raise ValueError("binomial index out of range")
-        return cls(_BINOMIAL_BASIS[i])
-
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
@@ -75,14 +63,6 @@ class HilbertPolynomial:
         if v.denominator != 1:
             raise ValueError("value %s at t=%d is not an integer" % (v, t))
         return int(v)
-
-    def twist(self, shift: int) -> "HilbertPolynomial":
-        """Precompose with t -> t + shift (tensoring by O(shift))."""
-        out = [Fraction(0)] * (MAX_DEGREE + 1)
-        for j, a in enumerate(self._coeffs):
-            for k in range(j + 1):
-                out[k] += a * math.comb(j, k) * Fraction(shift) ** (j - k)
-        return HilbertPolynomial(out)
 
     def scale(self, factor) -> "HilbertPolynomial":
         f = Fraction(factor)

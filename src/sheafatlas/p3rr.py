@@ -55,8 +55,13 @@ def h0_o_p3(j: int) -> int:
 
 
 def hp_o_p3(j: int = 0) -> HilbertPolynomial:
-    """The Hilbert polynomial t -> chi(O_P3(t + j))."""
-    return HilbertPolynomial.binomial(3).twist(j)
+    """The Hilbert polynomial t -> chi(O_P3(t + j)).
+
+    With u = j + 2 it is ((t+u)^3 - (t+u))/6, written out in powers of t.
+    """
+    u = j + 2
+    return HilbertPolynomial(
+        [chi_o_p3(j), Fraction(3 * u * u - 1, 6), Fraction(u, 2), Fraction(1, 6)])
 
 
 def hp_from_chern(c: ChernData) -> HilbertPolynomial:

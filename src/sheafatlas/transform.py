@@ -231,11 +231,11 @@ def chi_hom_fl(d: ComponentDescriptor) -> int:
     chi(L(j)) = chi(L) + j*deg(C); the two must agree exactly because
     3a + 2b + c = 2k.
     """
-    value = 2 * chi_l(d)
+    base = chi_l(d)
+    value = 2 * base
     fam = d.reflexive
     if isinstance(fam, SplitResolution):
         deg = d.curve.degree
-        base = chi_l(d)
 
         def chi_l_twist(j: int) -> int:
             return base + j * deg
@@ -524,17 +524,18 @@ def assemble_report(d: ComponentDescriptor) -> ComponentReport:
     then shows the failures).
     """
     fam = d.reflexive
+    chern_r = chern_of(fam)
     chern_e = chern_of_e(d)
     dim = dim_component(d)
     tangent = dim_tangent(d)
     if dim != tangent:
         raise CertificateError("assembly mismatch: %d vs %d" % (dim, tangent))
-    if chern_e.c2 != chern_of(fam).c2 + d.curve.degree:
+    if chern_e.c2 != chern_r.c2 + d.curve.degree:
         raise CertificateError("c2(E) = %d is not c2(R) + deg(C)" % chern_e.c2)
     closed = None
     if isinstance(fam, SplitResolution):
         closed = chern_sabc_closed(fam.a, fam.b, fam.c)
-        if closed[0] != chern_of(fam).c2:
+        if closed[0] != chern_r.c2:
             raise CertificateError("closed-form c2 %d disagrees" % closed[0])
     return ComponentReport(
         descriptor=d,
@@ -549,7 +550,7 @@ def assemble_report(d: ComponentDescriptor) -> ComponentReport:
         verdicts=check_conditions(d),
         signature=signature(d),
         erratum_notes=_erratum_notes(d, dim, closed),
-        reflexive_chern=chern_of(fam),
+        reflexive_chern=chern_r,
         reflexive_chern_closed=closed,
         normal_bundle_h1=h1_normal(d.curve),
     )

@@ -111,6 +111,18 @@ def test_describe_inadmissible_exit_3(capsys):
     assert "Fails" in out
 
 
+def test_describe_unassemblable_reason_printed_once(capsys):
+    # s = 6 exceeds the points bound so far that no best-effort report can
+    # be assembled; the verdicts go to stderr under a single reason line.
+    code, out, err = run(capsys, "describe", "--reflexive", "S:0,0,2",
+                         "--curve", "R:2", "--points", "6")
+    assert code == 3
+    assert out == ""
+    assert err.count("descriptor violates: points-bound") == 1
+    assert err.startswith("inadmissible descriptor: ")
+    assert "twist-sections-vanish" in err
+
+
 def test_describe_unparsable_exit_2(capsys):
     code, _, err = run(capsys, "describe", "--reflexive", "X:1",
                        "--curve", "R:2", "--points", "0")

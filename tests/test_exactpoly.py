@@ -1,4 +1,4 @@
-"""Exact polynomial arithmetic: evaluation, twisting, integrality."""
+"""Exact polynomial arithmetic: evaluation, addition, integrality."""
 
 from fractions import Fraction
 
@@ -7,7 +7,15 @@ import pytest
 from sheafatlas.exactpoly import HilbertPolynomial
 
 
-CHI_P3 = HilbertPolynomial.binomial(3)  # (t+1)(t+2)(t+3)/6
+# Power-basis coefficients of C(t+i, i) = (t+1)...(t+i) / i!, i = 0..3,
+# multiplied out by hand.
+BINOMIAL_BASIS = [
+    HilbertPolynomial([1]),
+    HilbertPolynomial([1, 1]),
+    HilbertPolynomial([1, Fraction(3, 2), Fraction(1, 2)]),
+    HilbertPolynomial([1, Fraction(11, 6), 1, Fraction(1, 6)]),
+]
+CHI_P3 = BINOMIAL_BASIS[3]  # (t+1)(t+2)(t+3)/6
 
 
 def brute_eval(coeffs, t):
@@ -34,14 +42,6 @@ def test_eval_matches_brute_force():
             assert p.eval(t) == brute_eval(coeffs, t)
 
 
-def test_twist_shift_identity():
-    # chi(O(t-1)) written out: C(t+2, 3) = t(t+1)(t+2)/6
-    shifted = HilbertPolynomial([0, Fraction(1, 3), Fraction(1, 2), Fraction(1, 6)])
-    assert CHI_P3.twist(-1) == shifted
-    for t in range(-6, 7):
-        assert CHI_P3.twist(-1).eval(t) == CHI_P3.eval(t - 1)
-
-
 def test_sub_self_is_zero():
     p = HilbertPolynomial([1, -2, Fraction(3, 7), 5])
     assert p - p == HilbertPolynomial.zero()
@@ -49,20 +49,6 @@ def test_sub_self_is_zero():
 
 def test_add_doubles_chi():
     assert (CHI_P3 + CHI_P3).eval(1) == 8
-
-
-def test_twist_round_trip():
-    samples = [
-        (10**6, -(10**6), 10**6, -(10**6)),
-        (1, 0, 0, 1),
-        (Fraction(1, 2), Fraction(-3, 5), 7, Fraction(999983, 7)),
-        (0, 0, 0, 0),
-        (-17, 4, 0, Fraction(2, 3)),
-    ]
-    for coeffs in samples:
-        p = HilbertPolynomial(coeffs)
-        for c in range(-10, 11):
-            assert p.twist(c).twist(-c) == p
 
 
 def test_eval_is_additive():
@@ -79,13 +65,13 @@ def test_is_numerical():
     assert not HilbertPolynomial([0, Fraction(1, 2)]).is_numerical()
     assert CHI_P3.is_numerical()
     # all binomial basis polynomials are integer-valued
-    for i in range(4):
-        assert HilbertPolynomial.binomial(i).is_numerical()
+    for basis in BINOMIAL_BASIS:
+        assert basis.is_numerical()
 
 
 def test_binomial_coordinates_of_basis():
-    for i in range(4):
-        coords = HilbertPolynomial.binomial(i).binomial_coordinates()
+    for i, basis in enumerate(BINOMIAL_BASIS):
+        coords = basis.binomial_coordinates()
         expected = tuple(Fraction(1 if j == i else 0) for j in range(4))
         assert coords == expected
 

@@ -80,7 +80,7 @@ def test_chern_from_hp_two_point_inversion():
 
 def test_chern_from_hp_shape_errors():
     with pytest.raises(ValueError, match="not a rank-2"):
-        chern_from_hp(HilbertPolynomial.binomial(3))
+        chern_from_hp(hp_o_p3())
     with pytest.raises(ValueError, match="not a rank-2"):
         chern_from_hp(HilbertPolynomial([1, 2, 3]))
 
