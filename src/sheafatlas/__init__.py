@@ -2,9 +2,10 @@
 semistable sheaves on P^3 obtained by elementary transformations of
 reflexive sheaves along curves and collections of points.
 
-All arithmetic is exact (arbitrary-precision rationals); every closed-form
-formula is cross-checked against an independent route, and disagreements
-are reported rather than repaired.
+All arithmetic is exact and done in integers; `Fraction` appears only in the
+closed-form c3 audit and the JSON rationals.  Every closed-form formula is
+cross-checked against an independent route, and disagreements are reported
+rather than repaired.
 """
 
 from .atlas import (

@@ -5,7 +5,8 @@ Three subcommands: `enumerate` lists every component for a target c2,
 runs the invariant suites.  Exit codes are stable: 0 on success, 1 when
 `verify` finds a failing check, 2 on a usage error (including an
 unwritable --output path or stdout), 3 when a described descriptor is
-inadmissible (the report is still printed, with the failing verdicts).
+inadmissible (the report is still printed, with the failing verdicts), 130
+when interrupted with Ctrl-C (one line on stderr, no traceback).
 Output is deterministic; no environment variables or randomness are
 consulted.
 """
@@ -21,6 +22,7 @@ from .transform import ComponentDescriptor, canonical_int
 
 USAGE_ERROR = 2
 INADMISSIBLE = 3
+INTERRUPTED = 130
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -137,16 +139,20 @@ def _run_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return USAGE_ERROR if exc.code else 0
-    if args.subcommand == "enumerate":
-        return _run_enumerate(args)
-    if args.subcommand == "describe":
-        return _run_describe(args)
-    return _run_verify(args)
+        parser = _build_parser()
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return USAGE_ERROR if exc.code else 0
+        if args.subcommand == "enumerate":
+            return _run_enumerate(args)
+        if args.subcommand == "describe":
+            return _run_describe(args)
+        return _run_verify(args)
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return INTERRUPTED
 
 
 if __name__ == "__main__":

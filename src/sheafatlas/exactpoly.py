@@ -1,112 +1,78 @@
-"""Exact arithmetic on low-degree polynomials with rational coefficients.
+"""Integer-valued polynomials of degree at most 3, in the binomial basis.
 
 Every quantity in this package is an Euler characteristic, a dimension or a
-Chern number, so all values are integers or half-integers.  Polynomials keep
-`fractions.Fraction` coefficients throughout; no floating point is ever
-involved, which is what makes the parity checks downstream trustworthy.
+Chern number, and every Hilbert polynomial it handles is integer-valued.
+Such a polynomial is an integer combination of the binomials C(t+i, i), so
+it is stored as four `int` coordinates and computed with exact integers
+only.  No floating point and no rational arithmetic is ever involved; the
+power-basis coefficients are derived on request, for tests and oracles.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-MAX_DEGREE = 3
-
 
 class HilbertPolynomial:
-    """A univariate polynomial of degree at most 3 over the rationals.
+    """p(t) = n0 + n1*C(t+1, 1) + n2*C(t+2, 2) + n3*C(t+3, 3), n_i integers.
 
-    Coefficients are indexed by the power of t and stored exactly.  The
-    degree cap matches the ambient threefold: any higher degree is a
-    programming error and is rejected rather than truncated.  Instances are
-    immutable and safe to share between threads.
+    The degree cap of 3 matches the ambient threefold.  `coords` is the
+    tuple (n0, n1, n2, n3); instances are never mutated after construction.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("coords",)
 
-    def __init__(self, coefficients=()):
-        coeffs = [Fraction(c) for c in coefficients]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        if len(coeffs) > MAX_DEGREE + 1:
-            raise ValueError(
-                "degree %d exceeds the supported cap of %d"
-                % (len(coeffs) - 1, MAX_DEGREE)
-            )
-        self._coeffs = tuple(coeffs)
+    def __init__(self, n0: int = 0, n1: int = 0, n2: int = 0, n3: int = 0):
+        self.coords = (n0, n1, n2, n3)
 
     @classmethod
-    def zero(cls) -> "HilbertPolynomial":
-        return cls(())
+    def from_values(cls, v1: int, v2: int, v3: int, v4: int) -> "HilbertPolynomial":
+        """The polynomial with p(-1), ..., p(-4) = v1, ..., v4.
 
-    @property
-    def degree(self) -> int:
-        """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self._coeffs) - 1
-
-    def coefficient(self, k: int) -> Fraction:
-        """Coefficient of t**k (zero beyond the degree)."""
-        if 0 <= k < len(self._coeffs):
-            return self._coeffs[k]
-        return Fraction(0)
-
-    def eval(self, t: int) -> Fraction:
-        """Exact value at the integer t."""
-        acc = Fraction(0)
-        for a in reversed(self._coeffs):
-            acc = acc * t + a
-        return acc
-
-    def eval_int(self, t: int) -> int:
-        """Value at t, checked to be an integer."""
-        v = self.eval(t)
-        if v.denominator != 1:
-            raise ValueError("value %s at t=%d is not an integer" % (v, t))
-        return int(v)
-
-    def scale(self, factor) -> "HilbertPolynomial":
-        f = Fraction(factor)
-        return HilbertPolynomial(a * f for a in self._coeffs)
-
-    def binomial_coordinates(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        """Coordinates (n0, ..., n3) with p(t) = sum n_i * C(t+i, i).
-
-        The basis C(t+i, i) vanishes at t = -1, ..., -i, so four evaluations
-        at t = -1..-4 solve the triangular system exactly.
+        C(t+i, i) vanishes at t = -1, ..., -i, so the system is triangular.
         """
-        n0 = self.eval(-1)
-        n1 = n0 - self.eval(-2)
-        n2 = self.eval(-3) - n0 + 2 * n1
-        n3 = n0 - 3 * n1 + 3 * n2 - self.eval(-4)
-        return (n0, n1, n2, n3)
+        n1 = v1 - v2
+        n2 = v3 - v1 + 2 * n1
+        return cls(v1, n1, n2, v1 - 3 * n1 + 3 * n2 - v4)
 
-    def is_numerical(self) -> bool:
-        """True iff the polynomial is integer-valued on all of Z."""
-        return all(n.denominator == 1 for n in self.binomial_coordinates())
+    def coefficient(self, k: int):
+        """Coefficient of t**k as a `Fraction` (zero beyond degree 3)."""
+        from fractions import Fraction
+
+        n0, n1, n2, n3 = self.coords
+        if k == 0:
+            return Fraction(n0 + n1 + n2 + n3)
+        if k == 1:
+            return n1 + Fraction(3 * n2, 2) + Fraction(11 * n3, 6)
+        if k == 2:
+            return Fraction(n2, 2) + n3
+        return Fraction(n3, 6) if k == 3 else Fraction(0)
+
+    def eval(self, t: int) -> int:
+        """Exact value at the integer t."""
+        n0, n1, n2, n3 = self.coords
+        u = t + 1
+        b2 = u * (u + 1) // 2
+        return n0 + n1 * u + n2 * b2 + n3 * (b2 * (u + 2) // 3)
+
+    def scale(self, factor: int) -> "HilbertPolynomial":
+        return HilbertPolynomial(*(factor * n for n in self.coords))
 
     def __add__(self, other: "HilbertPolynomial") -> "HilbertPolynomial":
         if not isinstance(other, HilbertPolynomial):
             return NotImplemented
-        n = max(len(self._coeffs), len(other._coeffs))
-        return HilbertPolynomial(
-            self.coefficient(k) + other.coefficient(k) for k in range(n)
-        )
+        return HilbertPolynomial(*(a + b for a, b in zip(self.coords, other.coords)))
 
     def __sub__(self, other: "HilbertPolynomial") -> "HilbertPolynomial":
         if not isinstance(other, HilbertPolynomial):
             return NotImplemented
-        n = max(len(self._coeffs), len(other._coeffs))
-        return HilbertPolynomial(
-            self.coefficient(k) - other.coefficient(k) for k in range(n)
-        )
+        return HilbertPolynomial(*(a - b for a, b in zip(self.coords, other.coords)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HilbertPolynomial):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self.coords == other.coords
 
     def __hash__(self) -> int:
-        return hash(self._coeffs)
+        return hash(self.coords)
 
     def __repr__(self) -> str:
-        return "HilbertPolynomial([%s])" % ", ".join(str(a) for a in self._coeffs)
+        return "HilbertPolynomial(%d, %d, %d, %d)" % self.coords

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exactpoly import HilbertPolynomial
-from .p3rr import ChernData, chern_from_hp, hp_from_chern, hp_o_p3
+from .p3rr import ChernData, chern_from_hp, chi_o_p3, hp_from_chern
 
 
 def _validate_exponents(a: int, b: int, c: int) -> int:
@@ -83,14 +83,17 @@ def hp_of_resolution(a: int, b: int, c: int) -> HilbertPolynomial:
     """Hilbert polynomial of the untwisted split-resolution sheaf.
 
     P(t) = (a+b+c+2)*chi(O(t-k)) - a*chi(O(t-k-3)) - b*chi(O(t-k-2))
-           - c*chi(O(t-k-1)),  k = (3a+2b+c)/2.
+           - c*chi(O(t-k-1)),  k = (3a+2b+c)/2, read off its integer values
+    at t = -1..-4.
     """
     kappa = _validate_exponents(a, b, c)
-    p = hp_o_p3(-kappa).scale(a + b + c + 2)
-    p = p - hp_o_p3(-kappa - 3).scale(a)
-    p = p - hp_o_p3(-kappa - 2).scale(b)
-    p = p - hp_o_p3(-kappa - 1).scale(c)
-    return p
+
+    def value(t: int) -> int:
+        u = t - kappa
+        return ((a + b + c + 2) * chi_o_p3(u) - a * chi_o_p3(u - 3)
+                - b * chi_o_p3(u - 2) - c * chi_o_p3(u - 1))
+
+    return HilbertPolynomial.from_values(*(value(t) for t in (-1, -2, -3, -4)))
 
 
 def chern_sabc_closed(a: int, b: int, c: int) -> tuple[int, Fraction]:

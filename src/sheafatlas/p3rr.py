@@ -9,7 +9,6 @@ with their own chi formulas in the modules that need them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .exactpoly import HilbertPolynomial
 
@@ -55,41 +54,29 @@ def h0_o_p3(j: int) -> int:
 
 
 def hp_o_p3(j: int = 0) -> HilbertPolynomial:
-    """The Hilbert polynomial t -> chi(O_P3(t + j)).
-
-    With u = j + 2 it is ((t+u)^3 - (t+u))/6, written out in powers of t.
-    """
-    u = j + 2
-    return HilbertPolynomial(
-        [chi_o_p3(j), Fraction(3 * u * u - 1, 6), Fraction(u, 2), Fraction(1, 6)])
+    """The Hilbert polynomial t -> chi(O_P3(t + j)), from its values at
+    t = -1..-4."""
+    return HilbertPolynomial.from_values(*(chi_o_p3(j + t) for t in (-1, -2, -3, -4)))
 
 
 def hp_from_chern(c: ChernData) -> HilbertPolynomial:
     """Hilbert polynomial of a rank-2, c1 = 0 sheaf with invariants c.
 
-    P(t) = 2*chi(O(t)) - c2*(t+2) + c3/2.
+    P(t) = 2*chi(O(t)) - c2*(t+2) + c3/2; with t + 2 = C(t+1, 1) + 1 its
+    binomial coordinates are (c3/2 - c2, -c2, 0, 2).
     """
     if c.rank != 2 or c.c1 != 0:
         raise ValueError("only the rank-2, c1 = 0 calculus is supported")
-    return hp_o_p3().scale(2) - HilbertPolynomial(
-        [2 * c.c2 - Fraction(c.c3, 2), c.c2])
+    return HilbertPolynomial(c.c3 // 2 - c.c2, -c.c2, 0, 2)
 
 
 def chern_from_hp(p: HilbertPolynomial) -> ChernData:
     """Invert hp_from_chern exactly.
 
-    The cubic and quadratic coefficients are pinned by rank 2 and c1 = 0;
-    the remaining two unknowns (c2, c3) follow from evaluation at t = 0 and
-    t = 1, so the inversion does not care about any internal basis.
+    n3 = 2 and n2 = 0 are pinned by rank 2 and c1 = 0; then c2 = -n1 and
+    c3 = 2*(n0 - n1).
     """
-    if p.coefficient(3) != Fraction(1, 3) or p.coefficient(2) != 2:
+    n0, n1, n2, n3 = p.coords
+    if n3 != 2 or n2 != 0:
         raise ValueError("not a rank-2 c1=0 Hilbert polynomial")
-    p0 = p.eval(0)
-    p1 = p.eval(1)
-    c2 = p0 - p1 + 6
-    if c2.denominator != 1:
-        raise ValueError("not a rank-2 c1=0 Hilbert polynomial: c2 = %s" % c2)
-    c3 = 2 * (p0 - 2 + 2 * c2)
-    if c3.denominator != 1:
-        raise ValueError("non-integral c3 recovered: %s" % c3)
-    return ChernData(2, 0, int(c2), int(c3))
+    return ChernData(2, 0, -n1, 2 * (n0 - n1))

@@ -204,9 +204,11 @@ def deg_l(d: ComponentDescriptor) -> int:
 
 
 def hp_of_e(d: ComponentDescriptor) -> HilbertPolynomial:
-    """P(E) = P(F) - P(Q); Q = L + O_W has P(Q) = chi(L) + deg(C)*t + s."""
+    """P(E) = P(F) - P(Q); Q = L + O_W has P(Q) = chi(L) + deg(C)*t + s,
+    that is, binomial coordinates (chi(L) + s - deg(C), deg(C), 0, 0)."""
+    deg = d.curve.degree
     return hp_of_family(d.reflexive) - HilbertPolynomial(
-        [chi_l(d) + d.s, d.curve.degree])
+        chi_l(d) + d.s - deg, deg)
 
 
 def chern_of_e(d: ComponentDescriptor) -> ChernData:
@@ -427,23 +429,23 @@ def check_curve_degree_floor(floor: int) -> int:
 
 
 def stability_margin(d: ComponentDescriptor) -> HilbertPolynomial:
-    """Slope margin of the transformed sheaf against its worst subsheaf.
+    """Twice the slope margin of the transformed sheaf against its worst
+    subsheaf.
 
     Only the extension family needs a margin (the split family has
     h0(F) = 0 and is destabilized by nothing).  The margin is the linear
-    polynomial P(E)/2 - P(I_{C+W'}) for the worst case W' = W; its leading
-    coefficient is (deg(C) - m)/2, positive exactly when m < deg(C).
-    Note the margin is genuinely half-integral, not a sheaf's Hilbert
-    polynomial.
+    polynomial P(E)/2 - P(I_{C+W'}) for the worst case W' = W.  It is
+    genuinely half-integral, so twice it, P(E) - 2*P(I_{C+W'}), is returned:
+    an integer linear polynomial whose leading coefficient deg(C) - m is
+    positive exactly when m < deg(C).
     """
     fam = d.reflexive
     if not isinstance(fam, IdealExtension):
         raise ValueError("stability margin applies to the extension family only")
-    half_p_e = hp_of_e(d).scale(Fraction(1, 2))
-    g = genus(d.curve)
-    p_ideal = hp_o_p3() - HilbertPolynomial([1 - g + d.s, d.curve.degree])
-    margin = half_p_e - p_ideal
-    if margin.degree > 1:
+    deg = d.curve.degree
+    p_ideal = hp_o_p3() - HilbertPolynomial(1 - genus(d.curve) + d.s - deg, deg)
+    margin = hp_of_e(d) - p_ideal.scale(2)
+    if margin.coords[2] or margin.coords[3]:
         raise CertificateError("stability margin %r is not linear" % margin)
     return margin
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from sheafatlas import atlas
 from sheafatlas.atlas import (
     EnumerationOptions,
     curve_families_of_degree,
@@ -11,6 +12,7 @@ from sheafatlas.atlas import (
     verify_module_invariants,
 )
 from sheafatlas.curvecoh import CompleteIntersection, RationalCurve
+from sheafatlas.exactpoly import HilbertPolynomial
 from sheafatlas.families import (
     IdealExtension,
     SplitResolution,
@@ -158,6 +160,20 @@ def test_verify_atlas_k12_notes_mixed_triples_only():
     assert mismatches == {"S:0,1,2", "S:1,0,1"}
     assert all(n.code == "closed-form-c3-mismatch"
                for n in summary.erratum_notes)
+
+
+@pytest.mark.parametrize("extra", [HilbertPolynomial(1),
+                                   HilbertPolynomial(0, -1)],
+                         ids=["n0", "n1"])
+def test_sheaf_hilbert_numerical_can_fail(monkeypatch, extra):
+    # One coordinate of every family polynomial off by one: only the
+    # Riemann-Roch comparison sees it, once per family.
+    real = atlas.hp_of_family
+    monkeypatch.setattr(atlas, "hp_of_family", lambda f: real(f) + extra)
+    checks = {c.name: c for c in verify_atlas(EnumerationOptions(k=4)).checks}
+    broken = checks.pop("sheaf-hilbert-numerical")
+    assert broken.passed == 0 and broken.failed > 0
+    assert all(c.failed == 0 for c in checks.values())
 
 
 def test_module_invariant_suites_pass():

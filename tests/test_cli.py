@@ -239,3 +239,18 @@ def test_non_canonical_numeric_flag_is_usage_error(capsys, argv):
 
 def test_no_subcommand_is_usage_error(capsys):
     assert main([]) == 2
+
+
+def test_keyboard_interrupt_exits_130(monkeypatch, capsys):
+    def interrupted(opts):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(sheafatlas.cli.atlas_mod, "enumerate_components",
+                        interrupted)
+    try:
+        code, out, err = run(capsys, "enumerate", "--c2", "4")
+    except KeyboardInterrupt:  # would otherwise stop the whole pytest run
+        pytest.fail("KeyboardInterrupt escaped cli.main")
+    assert code == 130
+    assert out == ""
+    assert err == "interrupted\n"  # one line, no traceback

@@ -95,10 +95,15 @@ def test_hp_of_family_is_the_resolution_polynomial():
 
 
 def test_family_hilbert_polynomials_are_numerical():
-    for (a, b, c) in admissible_triples(20):
-        assert hp_of_family(SplitResolution(a, b, c)).is_numerical()
-    for m in range(1, 21):
-        assert hp_of_family(IdealExtension(m)).is_numerical()
+    # integer values that agree with the rational power-basis view
+    fams = [SplitResolution(*abc) for abc in admissible_triples(20)]
+    fams += [IdealExtension(m) for m in range(1, 21)]
+    for fam in fams:
+        p = hp_of_family(fam)
+        for t in range(-6, 7):
+            value = p.eval(t)
+            assert type(value) is int
+            assert value == sum(p.coefficient(k) * t ** k for k in range(4))
 
 
 def test_dim_moduli():

@@ -1,7 +1,5 @@
 """Riemann-Roch on P^3 and the Chern/Hilbert-polynomial dictionary."""
 
-from fractions import Fraction
-
 import pytest
 
 from sheafatlas.exactpoly import HilbertPolynomial
@@ -58,10 +56,11 @@ def test_hp_from_chern_point_values():
 
 
 def test_hp_from_chern_rejects_unsupported():
-    with pytest.raises(ValueError):
-        hp_from_chern(ChernData(1, 0, 0, 0))
-    with pytest.raises(ValueError):
-        hp_from_chern(ChernData(2, 1, 0, 0))
+    # rank and c1 each one off from the supported (2, 0), on either side
+    for data in (ChernData(1, 0, 0, 0), ChernData(3, 0, 0, 0),
+                 ChernData(2, 1, 0, 0), ChernData(2, -1, 0, 0)):
+        with pytest.raises(ValueError, match="only the rank-2"):
+            hp_from_chern(data)
 
 
 def test_chern_round_trip():
@@ -81,14 +80,19 @@ def test_chern_from_hp_two_point_inversion():
 def test_chern_from_hp_shape_errors():
     with pytest.raises(ValueError, match="not a rank-2"):
         chern_from_hp(hp_o_p3())
-    with pytest.raises(ValueError, match="not a rank-2"):
-        chern_from_hp(HilbertPolynomial([1, 2, 3]))
+    # one coordinate of a valid polynomial off by one: n3 != 2 or n2 != 0
+    n0, n1, n2, n3 = hp_from_chern(ChernData(2, 0, 3, 4)).coords
+    for coords in ((n0, n1, n2, n3 + 1), (n0, n1, n2, n3 - 1),
+                   (n0, n1, n2 + 1, n3), (n0, n1, n2 - 1, n3)):
+        with pytest.raises(ValueError, match="not a rank-2"):
+            chern_from_hp(HilbertPolynomial(*coords))
 
 
 def test_chern_from_hp_odd_c3():
-    p = hp_from_chern(ChernData(2, 0, 1, 2)) + HilbertPolynomial([Fraction(1, 2)])
-    with pytest.raises(ValueError, match="odd c3"):
-        chern_from_hp(p)
+    # Integer coordinates cannot carry the half-integral shift that once
+    # gave an odd c3: shifting P by a constant 1 moves c3 by 2, staying even.
+    p = hp_from_chern(ChernData(2, 0, 1, 2)) + HilbertPolynomial(1)
+    assert chern_from_hp(p) == ChernData(2, 0, 1, 4)
 
 
 def test_chern_data_parity_enforced():

@@ -84,3 +84,29 @@ def test_the_guard_sees_non_stdlib_imports():
                          ids=lambda p: p.stem)
 def test_stdlib_only(path):
     assert non_stdlib_imports(path.read_text(encoding="utf-8")) == []
+
+
+def module_level_imports(source: str) -> list[str]:
+    """Top-level packages imported by statements at module level (imports
+    inside functions and classes are not counted)."""
+    roots = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Import):
+            roots |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots.add(node.module.split(".")[0])
+    return sorted(roots)
+
+
+def test_the_guard_sees_module_level_fractions():
+    source = ("from fractions import Fraction\nimport math\n"
+              "def f():\n    import decimal\n    return decimal\n")
+    assert module_level_imports(source) == ["fractions", "math"]
+
+
+@pytest.mark.parametrize("name", ["exactpoly", "p3rr"])
+def test_integer_core_does_not_import_fractions(name):
+    # The Riemann-Roch core computes in int; Fraction is for the closed-form
+    # c3 audit, the JSON rationals and the derived power-basis view only.
+    source = (PACKAGE / ("%s.py" % name)).read_text(encoding="utf-8")
+    assert "fractions" not in module_level_imports(source)

@@ -12,6 +12,7 @@ import sheafatlas
 from sheafatlas import transform
 from sheafatlas.atlas import EnumerationOptions, enumerate_components
 from sheafatlas.curvecoh import CompleteIntersection, RationalCurve, genus
+from sheafatlas.exactpoly import HilbertPolynomial
 from sheafatlas.families import IdealExtension, SplitResolution, half_c3
 from sheafatlas.p3rr import CertificateError, ChernData
 from sheafatlas.transform import (
@@ -139,13 +140,24 @@ def test_generic_conditions_are_marked():
 
 
 def test_stability_margin():
+    # twice the margin: linear, with leading coefficient deg(C) - m
     margin = stability_margin(V1_CONIC)
-    assert margin.degree == 1
-    assert margin.coefficient(1) == Fraction(1, 2)
+    assert margin.coefficient(3) == margin.coefficient(2) == 0
+    assert margin.coefficient(1) == 1
     cubic = ComponentDescriptor(IdealExtension(1), RationalCurve(3), 0)
-    assert stability_margin(cubic).coefficient(1) == 1
+    assert stability_margin(cubic).coefficient(1) == 2
     with pytest.raises(ValueError):
         stability_margin(S002_CONIC)
+
+
+@pytest.mark.parametrize("extra", [HilbertPolynomial(0, 0, 0, 1),
+                                   HilbertPolynomial(0, 0, 1, 0)],
+                         ids=["n3", "n2"])
+def test_nonlinear_stability_margin_raises(monkeypatch, extra):
+    real = transform.hp_of_family
+    monkeypatch.setattr(transform, "hp_of_family", lambda f: real(f) + extra)
+    with pytest.raises(CertificateError, match="not linear"):
+        stability_margin(V1_CONIC)
 
 
 def test_signature_examples():
