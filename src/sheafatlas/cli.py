@@ -112,8 +112,7 @@ def _run_describe(args) -> int:
         except ValueError:
             print("inadmissible descriptor: %s" % exc, file=sys.stderr)
             for v in transform.check_conditions(descriptor):
-                print("  %-24s %-18s %s" % (v.condition, v.status.value,
-                                            v.note), file=sys.stderr)
+                print(render.verdict_line(v), file=sys.stderr)
             return INADMISSIBLE
         code = _emit(_render("report", report, args.format), args.output,
                      INADMISSIBLE)

@@ -17,7 +17,9 @@ from fractions import Fraction
 
 from .atlas import Atlas, VerificationSummary, PUBLISHED_M3_PRIOR_COMPONENTS
 from .transform import (
+    M3_DESCRIPTOR,
     ComponentReport,
+    ConditionVerdict,
     ErratumNote,
     curve_tag,
     dedup_notes,
@@ -168,13 +170,18 @@ def atlas_table(atlas: Atlas) -> str:
     text += "\n%d component(s) for c2 = %d\n" % (len(atlas.reports), atlas.k)
     for (fam_tag, curve_kind), count in atlas.summary:
         text += "  %s over %s: %d\n" % (fam_tag, curve_kind, count)
-    if atlas.k == 3:
+    if any(r.descriptor == M3_DESCRIPTOR for r in atlas.reports):
         text += (
             "previously published components of this moduli space: %d; "
             "with the one above the total is at least %d\n"
             % (PUBLISHED_M3_PRIOR_COMPONENTS, PUBLISHED_M3_PRIOR_COMPONENTS + 1)
         )
     return text
+
+
+def verdict_line(v: ConditionVerdict) -> str:
+    """One line of the admissibility ledger, as describe prints it."""
+    return "  %-24s %-18s %s" % (v.condition, v.status.value, v.note)
 
 
 def report_table(report: ComponentReport) -> str:
@@ -206,8 +213,7 @@ def report_table(report: ComponentReport) -> str:
         "h1(N_C)         %d" % report.normal_bundle_h1,
         "conditions:",
     ]
-    for v in report.verdicts:
-        lines.append("  %-24s %-18s %s" % (v.condition, v.status.value, v.note))
+    lines += [verdict_line(v) for v in report.verdicts]
     if report.erratum_notes:
         lines.append("notes:")
         for note in report.erratum_notes:

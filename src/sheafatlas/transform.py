@@ -5,10 +5,13 @@ of extra points; the one codec for its tags ("S:a,b,c" or "V:m", "R:d" or
 "CI:d1,d2") lives here.  The transformed sheaf E is the kernel of a
 surjection from a family member F onto L + O_W, where L is a line bundle on
 the curve and W is a set of s points.  Everything derived from that datum
-is computed here: the invariants of L forced by c3(E) = 0, the Chern
-classes of E, the admissibility ledger, the orbit-space and component
-dimensions, and an independent tangent-space assembly that must reproduce
-the component dimension exactly.
+is computed here.  `assemble_report` is the one place a report's numbers
+are derived, each once: the invariants of L forced by c3(E) = 0, the Chern
+classes of E, the orbit-space and component dimensions, and a separately
+written tangent-space assembly that must reproduce the component dimension
+exactly.  The public helpers it reads, `chi_l`, `chi_hom_fl`, `chern_of_e`
+and `check_conditions` (the admissibility ledger), are also called by the
+verification suites.
 """
 
 from __future__ import annotations
@@ -198,11 +201,6 @@ def chi_l(d: ComponentDescriptor) -> int:
     return 2 * d.curve.degree + half_c3(d.reflexive) - d.s
 
 
-def deg_l(d: ComponentDescriptor) -> int:
-    """deg(L) = g - 1 + 2*deg(C) + n - s (Riemann-Roch from chi(L))."""
-    return chi_l(d) + genus(d.curve) - 1
-
-
 def hp_of_e(d: ComponentDescriptor) -> HilbertPolynomial:
     """P(E) = P(F) - P(Q); Q = L + O_W has P(Q) = chi(L) + deg(C)*t + s,
     that is, binomial coordinates (chi(L) + s - deg(C), deg(C), 0, 0)."""
@@ -255,72 +253,6 @@ def chi_hom_fl(d: ComponentDescriptor) -> int:
                 % (via_resolution, value)
             )
     return value
-
-
-def hom_orbit_dim(d: ComponentDescriptor) -> int:
-    """dim Hom(F, Q) / Aut(Q) = (chi(Hom(F,L)) - 1) + s.
-
-    h0(Hom(F, L)) equals the Euler characteristic under the h1-vanishing
-    condition, giving a projective space of dimension chi - 1; each point
-    of W contributes a P^1 of surjections onto its skyscraper.
-    """
-    chi = chi_hom_fl(d)
-    if chi < 1:
-        raise ValueError("empty Hom: chi(Hom(F,L)) = %d" % chi)
-    return (chi - 1) + d.s
-
-
-def dim_component(d: ComponentDescriptor) -> int:
-    """Dimension of the moduli component built from the descriptor.
-
-    dim R + dim Sym^s(P^3) + (dim Hilb(C) + g) + dim Hom(F,Q)/Aut(Q)
-    - dim PAut(F); the genus term is the Jacobian of the curve, the point
-    count contributes 3 per point, and dim Hilb(C) is read off the tangent
-    space h0(N_C) (see h1_normal for the obstruction data).
-    """
-    fam = d.reflexive
-    return (
-        dim_moduli(fam)
-        + 3 * d.s
-        + h0_normal(d.curve)
-        + genus(d.curve)
-        + hom_orbit_dim(d)
-        - dim_paut(fam)
-    )
-
-
-def dim_tangent(d: ComponentDescriptor) -> int:
-    """Tangent-space dimension at a general transformed sheaf.
-
-    Assembled along the local-to-global route, independently of
-    dim_component: dim Ext^1(E,E) = h0(Ext^1(E,E)) + h1(Hom(E,E))
-    - h2(Hom(E,E)), where the sheafy pieces reduce to normal-bundle
-    sections of C and W, the Ext profile of F, and section counts of
-    Hom(F,Q) and Hom(Q,Q).  Agreement with dim_component certifies the
-    whole assembly.
-    """
-    fam = d.reflexive
-    profile = ext_profile(fam)
-    g = genus(d.curve)
-    # h0(Ext^1(E,E)) contributes normal bundles of W and C plus the
-    # Ext^1(F,F) block absorbed below through the profile identity.
-    h0_normal_w = 3 * d.s
-    h0_normal_c = h0_normal(d.curve)
-    # h1(Hom(E,E)) = 1 - h0(Hom(F,F)) + h0(Hom(F,Q)) - h0(Hom(Q,Q))
-    #               + h1(Hom(Q,Q)) + h1(Hom(F,F))
-    h0_hom_fq = chi_hom_fl(d) + 2 * d.s
-    h0_hom_qq = 1 + d.s
-    h1_hom_qq = g
-    return (
-        h0_normal_w
-        + h0_normal_c
-        + profile.ext1
-        + 1
-        - profile.hom
-        + h0_hom_fq
-        - h0_hom_qq
-        + h1_hom_qq
-    )
 
 
 def max_points(fam: ReflexiveFamily, curve: CurveFamily) -> int:
@@ -450,19 +382,12 @@ def stability_margin(d: ComponentDescriptor) -> HilbertPolynomial:
     return margin
 
 
-def signature(d: ComponentDescriptor) -> SingularitySignature:
-    return SingularitySignature(
-        curve_parts=((d.curve.degree, genus(d.curve)),),
-        isolated_points_from_w=d.s,
-        reflexive_sing_c3=chern_of(d.reflexive).c3,
-    )
-
-
 def _erratum_notes(
-    d: ComponentDescriptor, dim: int, closed: tuple[int, Fraction] | None
+    d: ComponentDescriptor, chern_r: ChernData, dim: int,
+    closed: tuple[int, Fraction] | None,
 ) -> tuple[ErratumNote, ...]:
     notes = []
-    oracle = chern_of(d.reflexive).c3
+    oracle = chern_r.c3
     if closed is not None and closed[1] != oracle:
         tag = reflexive_tag(d.reflexive)
         notes.append(ErratumNote(
@@ -523,16 +448,46 @@ def assemble_report(d: ComponentDescriptor) -> ComponentReport:
 
     Used by build_report after validation, and by the CLI to render a
     best-effort report for inadmissible descriptors (the verdict column
-    then shows the failures).
+    then shows the failures).  Each number is derived once, top-down:
+
+    - deg(L) = g - 1 + chi(L) by Riemann-Roch on C.
+    - The orbit space Hom(F, Q)/Aut(Q) has dimension (chi(Hom(F,L)) - 1)
+      + s: h0(Hom(F, L)) equals the Euler characteristic under the
+      h1-vanishing condition, giving a projective space of dimension
+      chi - 1, and each point of W adds a P^1 of surjections onto its
+      skyscraper.  chi < 1 raises ValueError ("empty Hom").
+    - The component dimension is dim R + dim Sym^s(P^3) + (dim Hilb(C) + g)
+      + orbit dim - dim PAut(F): the genus term is the Jacobian of C, each
+      point contributes 3, and dim Hilb(C) is read off the tangent space
+      h0(N_C) (h1(N_C) is reported alongside as the obstruction datum).
+    - The tangent dimension is assembled along the local-to-global route,
+      written separately: dim Ext^1(E,E) = h0(Ext^1(E,E)) + h1(Hom(E,E))
+      - h2(Hom(E,E)).  h0(Ext^1(E,E)) gives the normal bundles of W and C
+      plus the Ext^1(F,F) block of the Ext profile; h1(Hom(E,E)) = 1
+      - h0(Hom(F,F)) + h0(Hom(F,Q)) - h0(Hom(Q,Q)) + h1(Hom(Q,Q)) with
+      h0(Hom(F,Q)) = chi(Hom(F,L)) + 2s, h0(Hom(Q,Q)) = 1 + s and
+      h1(Hom(Q,Q)) = g.  Agreement with the component dimension certifies
+      the whole assembly; a mismatch raises CertificateError.
+    - Sing(E) is the curve (deg C, g), the s points of W and the singular
+      points of the reflexive hull, of weight c3(R).
     """
-    fam = d.reflexive
+    fam, curve, s = d.reflexive, d.curve, d.s
     chern_r = chern_of(fam)
     chern_e = chern_of_e(d)
-    dim = dim_component(d)
-    tangent = dim_tangent(d)
+    chi = chi_l(d)
+    g = genus(curve)
+    h0_n = h0_normal(curve)
+    chi_hom = chi_hom_fl(d)
+    if chi_hom < 1:
+        raise ValueError("empty Hom: chi(Hom(F,L)) = %d" % chi_hom)
+    orbit = (chi_hom - 1) + s
+    dim = dim_moduli(fam) + 3 * s + h0_n + g + orbit - dim_paut(fam)
+    profile = ext_profile(fam)
+    tangent = (3 * s + h0_n + profile.ext1 + 1 - profile.hom
+               + (chi_hom + 2 * s) - (1 + s) + g)
     if dim != tangent:
         raise CertificateError("assembly mismatch: %d vs %d" % (dim, tangent))
-    if chern_e.c2 != chern_r.c2 + d.curve.degree:
+    if chern_e.c2 != chern_r.c2 + curve.degree:
         raise CertificateError("c2(E) = %d is not c2(R) + deg(C)" % chern_e.c2)
     closed = None
     if isinstance(fam, SplitResolution):
@@ -543,16 +498,16 @@ def assemble_report(d: ComponentDescriptor) -> ComponentReport:
         descriptor=d,
         k=chern_e.c2,
         chern_e=chern_e,
-        deg_l=deg_l(d),
-        chi_l=chi_l(d),
-        chi_hom_fl=chi_hom_fl(d),
-        hom_orbit_dim=hom_orbit_dim(d),
+        deg_l=chi + g - 1,
+        chi_l=chi,
+        chi_hom_fl=chi_hom,
+        hom_orbit_dim=orbit,
         dim_component=dim,
         dim_tangent=tangent,
         verdicts=check_conditions(d),
-        signature=signature(d),
-        erratum_notes=_erratum_notes(d, dim, closed),
+        signature=SingularitySignature(((curve.degree, g),), s, chern_r.c3),
+        erratum_notes=_erratum_notes(d, chern_r, dim, closed),
         reflexive_chern=chern_r,
         reflexive_chern_closed=closed,
-        normal_bundle_h1=h1_normal(d.curve),
+        normal_bundle_h1=h1_normal(curve),
     )

@@ -31,6 +31,18 @@ def test_enumerate_k3_table(capsys):
     assert "at least 11" in out
 
 
+@pytest.mark.parametrize("floor, listed", [("3", False), ("1", True)])
+def test_enumerate_k3_published_footer_needs_the_component(capsys, floor,
+                                                            listed):
+    # the footer counts the listed c2 = 3 component, so it appears only
+    # when that component is in the table
+    code, out, _ = run(capsys, "enumerate", "--c2", "3",
+                       "--min-curve-degree", floor)
+    assert code == 0
+    assert ("0 component(s) for c2 = 3" in out) is not listed
+    assert ("with the one above the total is at least 11" in out) is listed
+
+
 def test_enumerate_k4_json(capsys):
     code, out, _ = run(capsys, "enumerate", "--c2", "4", "--format", "json")
     assert code == 0

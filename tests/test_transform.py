@@ -1,5 +1,6 @@
 """Elementary-transformation bookkeeping and the tangent-space cross-check."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -25,12 +26,6 @@ from sheafatlas.transform import (
     check_conditions,
     chern_of_e,
     chi_hom_fl,
-    chi_l,
-    deg_l,
-    dim_component,
-    dim_tangent,
-    hom_orbit_dim,
-    signature,
     stability_margin,
 )
 
@@ -52,9 +47,10 @@ def verdict(d, condition):
 
 
 def test_chi_l_examples():
-    assert (chi_l(V1_CONIC), deg_l(V1_CONIC)) == (5, 4)
-    assert (chi_l(S002_CONIC_1PT), deg_l(S002_CONIC_1PT)) == (5, 4)
-    assert (chi_l(V1_PLANE_CUBIC), deg_l(V1_PLANE_CUBIC)) == (6, 6)
+    for d, expected in ((V1_CONIC, (5, 4)), (S002_CONIC_1PT, (5, 4)),
+                        (V1_PLANE_CUBIC, (6, 6))):
+        report = assemble_report(d)
+        assert (report.chi_l, report.deg_l) == expected
 
 
 def test_chern_of_e_examples():
@@ -71,22 +67,22 @@ def test_chi_hom_fl_examples():
 
 
 def test_hom_orbit_dim_examples():
-    assert hom_orbit_dim(V1_CONIC) == 9
-    assert hom_orbit_dim(S002_CONIC_1PT) == 10
-    assert hom_orbit_dim(V1_PLANE_CUBIC) == 12
+    assert assemble_report(V1_CONIC).hom_orbit_dim == 9
+    assert assemble_report(S002_CONIC_1PT).hom_orbit_dim == 10
+    assert assemble_report(V1_PLANE_CUBIC).hom_orbit_dim == 12
 
 
 def test_dim_component_examples():
-    assert dim_component(V1_CONIC) == 22
-    assert dim_component(S002_CONIC) == 32
-    assert dim_component(V1_PLANE_CUBIC) == 33
+    assert assemble_report(V1_CONIC).dim_component == 22
+    assert assemble_report(S002_CONIC).dim_component == 32
+    assert assemble_report(V1_PLANE_CUBIC).dim_component == 33
 
 
 def test_dim_tangent_examples():
-    assert dim_tangent(V1_CONIC) == 22
-    assert dim_tangent(S002_CONIC_1PT) == 34
+    assert assemble_report(V1_CONIC).dim_tangent == 22
+    assert assemble_report(S002_CONIC_1PT).dim_tangent == 34
     d = ComponentDescriptor(SplitResolution(0, 1, 0), RationalCurve(3), 0)
-    assert dim_tangent(d) == 52
+    assert assemble_report(d).dim_tangent == 52
 
 
 def test_verdict_ids_and_order_are_stable():
@@ -161,16 +157,17 @@ def test_nonlinear_stability_margin_raises(monkeypatch, extra):
 
 
 def test_signature_examples():
-    assert signature(V1_CONIC).curve_parts == ((2, 0),)
-    assert signature(V1_CONIC).isolated_points_from_w == 0
-    assert signature(V1_CONIC).reflexive_sing_c3 == 2
+    sig = assemble_report(V1_CONIC).signature
+    assert sig.curve_parts == ((2, 0),)
+    assert sig.isolated_points_from_w == 0
+    assert sig.reflexive_sing_c3 == 2
 
-    sig = signature(S002_CONIC_1PT)
+    sig = assemble_report(S002_CONIC_1PT).signature
     assert (sig.curve_parts, sig.isolated_points_from_w,
             sig.reflexive_sing_c3) == (((2, 0),), 1, 4)
 
-    sig = signature(ComponentDescriptor(
-        SplitResolution(0, 1, 0), CompleteIntersection(2, 2), 3))
+    sig = assemble_report(ComponentDescriptor(
+        SplitResolution(0, 1, 0), CompleteIntersection(2, 2), 3)).signature
     assert (sig.curve_parts, sig.isolated_points_from_w,
             sig.reflexive_sing_c3) == (((4, 1),), 3, 8)
 
@@ -228,10 +225,11 @@ def test_certificates_survive_python_O():
     # `python -O` strips assert statements; a broken assembly must still
     # be refused, and not as a ValueError the CLI fallback would swallow.
     script = textwrap.dedent("""
-        import sys
+        import dataclasses, sys
         from sheafatlas import transform
-        real = transform.dim_tangent
-        transform.dim_tangent = lambda d: real(d) + 1
+        real = transform.ext_profile
+        transform.ext_profile = lambda f: dataclasses.replace(
+            real(f), ext1=real(f).ext1 + 1)
         try:
             transform.build_report(transform.M3_DESCRIPTOR)
         except Exception as exc:
@@ -257,10 +255,26 @@ def _kappa_off_by_one(monkeypatch):
         lambda f: (3 * f.a + 2 * f.b + f.c) // 2 + 1))
 
 
+def _paut_off_by_one(monkeypatch):
+    # read by the component route only
+    real = transform.dim_paut
+    monkeypatch.setattr(transform, "dim_paut", lambda f: real(f) + 1)
+
+
+def _ext_hom_off_by_one(monkeypatch):
+    # read by the tangent route only
+    real = transform.ext_profile
+    monkeypatch.setattr(transform, "ext_profile", lambda f: dataclasses.replace(
+        real(f), hom=real(f).hom + 1))
+
+
 @pytest.mark.parametrize("breakage, descriptor, message", [
     (_chi_l_off_by_one, V1_CONIC, "c3 of the transformed sheaf"),
     (_kappa_off_by_one, S002_CONIC, "route mismatch"),
-], ids=["transformed-c3", "section-count-route"])
+    (_paut_off_by_one, V1_CONIC, "assembly mismatch"),
+    (_ext_hom_off_by_one, S002_CONIC, "assembly mismatch"),
+], ids=["transformed-c3", "section-count-route", "component-route",
+        "tangent-route"])
 def test_broken_certificates_raise_certificate_error(monkeypatch, breakage,
                                                      descriptor, message):
     # Not a ValueError: the CLI would report it as an inadmissible
@@ -268,6 +282,23 @@ def test_broken_certificates_raise_certificate_error(monkeypatch, breakage,
     breakage(monkeypatch)
     with pytest.raises(CertificateError, match=message):
         assemble_report(descriptor)
+
+
+@pytest.mark.parametrize("descriptor", [
+    transform.M3_DESCRIPTOR,
+    ComponentDescriptor(SplitResolution(0, 1, 0), RationalCurve(3), 2),
+], ids=["m3", "S010-R3-s2"])
+def test_assemble_report_derives_each_number_once(monkeypatch, descriptor):
+    calls = {"chi_hom_fl": 0, "check_conditions": 0}
+    for name in calls:
+        real = getattr(transform, name)
+
+        def counted(d, name=name, real=real):
+            calls[name] += 1
+            return real(d)
+        monkeypatch.setattr(transform, name, counted)
+    assemble_report(descriptor)
+    assert calls == {"chi_hom_fl": 1, "check_conditions": 1}
 
 
 def test_transformed_chern_all_descriptors():
