@@ -122,26 +122,18 @@ def cohomology_oc(curve: CurveFamily, a: int) -> CurveCohomology:
     return CurveCohomology(h0, h1)
 
 
-def h0_normal(curve: CurveFamily) -> int:
-    """Sections of the normal bundle N_{C/P^3}.
+def normal_cohomology(curve: CurveFamily) -> CurveCohomology:
+    """(h0, h1) of the normal bundle N_{C/P^3}.
 
     For a general rational curve of degree d, chi(N) = 4d and h1(N) = 0, so
     h0(N) = 4d; the whole construction restricts to general curves, and the
     same genericity convention is used here.  For a complete intersection,
-    N_C = O_C(d1) + O_C(d2).
+    N_C = O_C(d1) + O_C(d2), and h1 is nonzero only for large ones.  Reports
+    expose h1 so that the tangent-space reading of the Hilbert-scheme
+    dimension is visible whenever obstructions could matter.
     """
     if isinstance(curve, RationalCurve):
-        return 4 * curve.d
-    return cohomology_oc(curve, curve.d1).h0 + cohomology_oc(curve, curve.d2).h0
-
-
-def h1_normal(curve: CurveFamily) -> int:
-    """h1 of the normal bundle; nonzero only for large complete intersections.
-
-    Reports expose this value so that the tangent-space reading of the
-    Hilbert-scheme dimension is visible whenever obstructions could matter.
-    """
-    if isinstance(curve, RationalCurve):
-        return 0
-    return cohomology_oc(curve, curve.d1).h1 + cohomology_oc(curve, curve.d2).h1
-
+        return CurveCohomology(4 * curve.d, 0)
+    first = cohomology_oc(curve, curve.d1)
+    second = cohomology_oc(curve, curve.d2)
+    return CurveCohomology(first.h0 + second.h0, first.h1 + second.h1)

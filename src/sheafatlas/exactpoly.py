@@ -4,8 +4,7 @@ Every quantity in this package is an Euler characteristic, a dimension or a
 Chern number, and every Hilbert polynomial it handles is integer-valued.
 Such a polynomial is an integer combination of the binomials C(t+i, i), so
 it is stored as four `int` coordinates and computed with exact integers
-only.  No floating point and no rational arithmetic is ever involved; the
-power-basis coefficients are derived on request, for tests and oracles.
+only.  No floating point and no rational arithmetic is ever involved.
 """
 
 from __future__ import annotations
@@ -32,19 +31,6 @@ class HilbertPolynomial:
         n1 = v1 - v2
         n2 = v3 - v1 + 2 * n1
         return cls(v1, n1, n2, v1 - 3 * n1 + 3 * n2 - v4)
-
-    def coefficient(self, k: int):
-        """Coefficient of t**k as a `Fraction` (zero beyond degree 3)."""
-        from fractions import Fraction
-
-        n0, n1, n2, n3 = self.coords
-        if k == 0:
-            return Fraction(n0 + n1 + n2 + n3)
-        if k == 1:
-            return n1 + Fraction(3 * n2, 2) + Fraction(11 * n3, 6)
-        if k == 2:
-            return Fraction(n2, 2) + n3
-        return Fraction(n3, 6) if k == 3 else Fraction(0)
 
     def eval(self, t: int) -> int:
         """Exact value at the integer t."""

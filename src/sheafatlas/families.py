@@ -102,16 +102,16 @@ def chern_sabc_closed(a: int, b: int, c: int) -> tuple[int, Fraction]:
     c2 is always an integer.  The c3 expression is returned as an exact
     rational because its cross term (3/2)(2a+c+4)ac is non-integral on
     triples such as (1, 0, 1); callers compare it against chern_of and
-    surface any disagreement instead of hiding it.
+    surface any disagreement instead of hiding it.  The sum is taken in
+    integers as 2*c3, whose terms are all integral, and halved once.
     """
     kappa = _validate_exponents(a, b, c)
     c2 = kappa * kappa + 3 * kappa - (b + c)
-    c3 = Fraction(27 * math.comb(a + 2, 3) + 8 * math.comb(b + 2, 3) + math.comb(c + 2, 3))
-    c3 += 3 * (3 * a + 2 * b + 5) * a * b
-    c3 += Fraction(3, 2) * (2 * a + c + 4) * a * c
-    c3 += (2 * b + 3 * c + 3) * b * c
-    c3 += 6 * a * b * c
-    return c2, c3
+    twice_c3 = 3 * (2 * a + c + 4) * a * c + 2 * (
+        27 * math.comb(a + 2, 3) + 8 * math.comb(b + 2, 3) + math.comb(c + 2, 3)
+        + 3 * (3 * a + 2 * b + 5) * a * b + (2 * b + 3 * c + 3) * b * c
+        + 6 * a * b * c)
+    return c2, Fraction(twice_c3, 2)
 
 
 @lru_cache(maxsize=None)

@@ -9,9 +9,9 @@ is computed here.  `assemble_report` is the one place a report's numbers
 are derived, each once: the invariants of L forced by c3(E) = 0, the Chern
 classes of E, the orbit-space and component dimensions, and a separately
 written tangent-space assembly that must reproduce the component dimension
-exactly.  The public helpers it reads, `chi_l`, `chi_hom_fl`, `chern_of_e`
-and `check_conditions` (the admissibility ledger), are also called by the
-verification suites.
+exactly.  It reads the public helpers `chi_l`, `chi_hom_fl`, `chern_of_e`
+and `check_conditions` (the admissibility ledger).  `verify` also calls
+`chi_hom_fl` and `stability_margin`; `describe` calls `check_conditions`.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ from .curvecoh import (
     CurveFamily,
     RationalCurve,
     genus,
-    h0_normal,
-    h1_normal,
+    normal_cohomology,
 )
 from .exactpoly import HilbertPolynomial
 from .families import (
@@ -142,6 +141,41 @@ class ConditionVerdict:
     condition: str
     status: ConditionStatus
     note: str
+
+
+# Ledger entries fixed by the reflexive family kind, shared by every
+# check_conditions call: the split family's vacuous degree bound, and
+# curve-points-disjoint through surjection-exists in CONDITION_IDS order.
+_SPLIT_DEGREE_BOUND = ConditionVerdict(
+    "degree-bound", ConditionStatus.HOLDS, "vacuous for the split family")
+_CURVE_POINTS_DISJOINT = ConditionVerdict(
+    "curve-points-disjoint", ConditionStatus.HOLDS_GENERICALLY,
+    "open dense: W can be placed off C")
+_OPEN_DENSE_TAIL = (
+    ConditionVerdict("hom-h1-vanishing", ConditionStatus.HOLDS_GENERICALLY,
+                     "open dense; the section counts in this report assume it"),
+    ConditionVerdict("surjection-exists", ConditionStatus.HOLDS_GENERICALLY,
+                     "open dense subset of Hom(F, Q)"),
+)
+_FAMILY_VERDICTS = {
+    SplitResolution: (
+        _CURVE_POINTS_DISJOINT,
+        ConditionVerdict("sing-disjoint", ConditionStatus.HOLDS_GENERICALLY,
+                         "open dense: C and W can be moved off Sing(F)"),
+        ConditionVerdict("section-curve-disjoint", ConditionStatus.HOLDS,
+                         "vacuous for the split family"),
+        *_OPEN_DENSE_TAIL,
+    ),
+    IdealExtension: (
+        _CURVE_POINTS_DISJOINT,
+        ConditionVerdict("sing-disjoint", ConditionStatus.HOLDS,
+                         "vacuous for the extension family"),
+        ConditionVerdict("section-curve-disjoint",
+                         ConditionStatus.HOLDS_GENERICALLY,
+                         "open dense: C and W can be moved off Y_F"),
+        *_OPEN_DENSE_TAIL,
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -274,60 +308,21 @@ def check_conditions(d: ComponentDescriptor) -> tuple[ConditionVerdict, ...]:
     fam, curve, s = d.reflexive, d.curve, d.s
     n = half_c3(fam)
     bound = max_points(fam, curve)
-    if bound < n:
-        note = "s=%d < n=%d (strict for rational curves)" % (s, n)
-    else:
-        note = "s=%d <= n=%d" % (s, n)
-    out = []
-    out.append(ConditionVerdict(
+    points = ConditionVerdict(
         "points-bound",
         ConditionStatus.HOLDS if s <= bound else ConditionStatus.FAILS,
-        note,
-    ))
-
+        ("s=%d < n=%d (strict for rational curves)" if bound < n
+         else "s=%d <= n=%d") % (s, n),
+    )
     if isinstance(fam, IdealExtension):
-        ok = fam.m < curve.degree
-        out.append(ConditionVerdict(
+        degree = ConditionVerdict(
             "degree-bound",
-            ConditionStatus.HOLDS if ok else ConditionStatus.FAILS,
+            ConditionStatus.HOLDS if fam.m < curve.degree
+            else ConditionStatus.FAILS,
             "m=%d < deg(C)=%d" % (fam.m, curve.degree),
-        ))
+        )
     else:
-        out.append(ConditionVerdict(
-            "degree-bound", ConditionStatus.HOLDS,
-            "vacuous for the split family",
-        ))
-
-    out.append(ConditionVerdict(
-        "curve-points-disjoint", ConditionStatus.HOLDS_GENERICALLY,
-        "open dense: W can be placed off C",
-    ))
-    if isinstance(fam, SplitResolution):
-        out.append(ConditionVerdict(
-            "sing-disjoint", ConditionStatus.HOLDS_GENERICALLY,
-            "open dense: C and W can be moved off Sing(F)",
-        ))
-        out.append(ConditionVerdict(
-            "section-curve-disjoint", ConditionStatus.HOLDS,
-            "vacuous for the split family",
-        ))
-    else:
-        out.append(ConditionVerdict(
-            "sing-disjoint", ConditionStatus.HOLDS,
-            "vacuous for the extension family",
-        ))
-        out.append(ConditionVerdict(
-            "section-curve-disjoint", ConditionStatus.HOLDS_GENERICALLY,
-            "open dense: C and W can be moved off Y_F",
-        ))
-    out.append(ConditionVerdict(
-        "hom-h1-vanishing", ConditionStatus.HOLDS_GENERICALLY,
-        "open dense; the section counts in this report assume it",
-    ))
-    out.append(ConditionVerdict(
-        "surjection-exists", ConditionStatus.HOLDS_GENERICALLY,
-        "open dense subset of Hom(F, Q)",
-    ))
+        degree = _SPLIT_DEGREE_BOUND
 
     twist_deg = 2 * (s - n)
     if twist_deg < 0:
@@ -339,18 +334,8 @@ def check_conditions(d: ComponentDescriptor) -> tuple[ConditionVerdict, ...]:
     else:
         status = ConditionStatus.FAILS
         note = "deg(omega_C(4) - 2L) = %d > 0" % twist_deg
-    out.append(ConditionVerdict("twist-sections-vanish", status, note))
-
-    return tuple(out)
-
-
-def eq_constraint_failures(d: ComponentDescriptor) -> tuple[str, ...]:
-    """Ids of the hard numeric constraints that fail on the descriptor."""
-    hard = {"points-bound", "degree-bound"}
-    return tuple(
-        v.condition for v in check_conditions(d)
-        if v.condition in hard and v.status is ConditionStatus.FAILS
-    )
+    return (points, degree, *_FAMILY_VERDICTS[type(fam)],
+            ConditionVerdict("twist-sections-vanish", status, note))
 
 
 def check_curve_degree_floor(floor: int) -> int:
@@ -430,7 +415,9 @@ def build_report(
     d: ComponentDescriptor, min_curve_degree: int = DEFAULT_MIN_CURVE_DEGREE
 ) -> ComponentReport:
     """Assemble the full report; rejects hard-constraint violations."""
-    failures = eq_constraint_failures(d)
+    failures = [v.condition for v in check_conditions(d)
+                if v.status is ConditionStatus.FAILS
+                and v.condition in ("points-bound", "degree-bound")]
     if failures:
         raise InadmissibleDescriptor(
             "descriptor violates: %s" % ", ".join(failures)
@@ -476,14 +463,14 @@ def assemble_report(d: ComponentDescriptor) -> ComponentReport:
     chern_e = chern_of_e(d)
     chi = chi_l(d)
     g = genus(curve)
-    h0_n = h0_normal(curve)
+    normal = normal_cohomology(curve)
     chi_hom = chi_hom_fl(d)
     if chi_hom < 1:
         raise ValueError("empty Hom: chi(Hom(F,L)) = %d" % chi_hom)
     orbit = (chi_hom - 1) + s
-    dim = dim_moduli(fam) + 3 * s + h0_n + g + orbit - dim_paut(fam)
+    dim = dim_moduli(fam) + 3 * s + normal.h0 + g + orbit - dim_paut(fam)
     profile = ext_profile(fam)
-    tangent = (3 * s + h0_n + profile.ext1 + 1 - profile.hom
+    tangent = (3 * s + normal.h0 + profile.ext1 + 1 - profile.hom
                + (chi_hom + 2 * s) - (1 + s) + g)
     if dim != tangent:
         raise CertificateError("assembly mismatch: %d vs %d" % (dim, tangent))
@@ -509,5 +496,5 @@ def assemble_report(d: ComponentDescriptor) -> ComponentReport:
         erratum_notes=_erratum_notes(d, chern_r, dim, closed),
         reflexive_chern=chern_r,
         reflexive_chern_closed=closed,
-        normal_bundle_h1=h1_normal(curve),
+        normal_bundle_h1=normal.h1,
     )

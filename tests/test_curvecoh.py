@@ -9,8 +9,7 @@ from sheafatlas.curvecoh import (
     chi_oc,
     cohomology_oc,
     genus,
-    h0_normal,
-    h1_normal,
+    normal_cohomology,
 )
 from sheafatlas.p3rr import chi_o_p3
 
@@ -104,25 +103,25 @@ def test_trivial_bundle_sections():
 
 
 def test_h0_normal_examples():
-    assert h0_normal(RationalCurve(1)) == 4
-    assert h0_normal(RationalCurve(2)) == 8
+    assert normal_cohomology(RationalCurve(1)).h0 == 4
+    assert normal_cohomology(RationalCurve(2)).h0 == 8
     # plane cubic: 3 from the planes, 9 from cubics in the plane
-    assert h0_normal(CompleteIntersection(1, 3)) == 12
+    assert normal_cohomology(CompleteIntersection(1, 3)).h0 == 12
 
 
 def test_dim_hilb_examples():
     # dim Hilb(C) is read off the tangent space h0(N_C)
-    assert h0_normal(RationalCurve(2)) == 8
-    assert h0_normal(CompleteIntersection(2, 2)) == 16
-    assert h0_normal(RationalCurve(3)) == 12
+    assert normal_cohomology(RationalCurve(2)).h0 == 8
+    assert normal_cohomology(CompleteIntersection(2, 2)).h0 == 16
+    assert normal_cohomology(RationalCurve(3)).h0 == 12
 
 
 def test_h1_normal_obstructed_case():
-    assert h1_normal(RationalCurve(7)) == 0
-    assert h1_normal(CompleteIntersection(2, 2)) == 0
+    assert normal_cohomology(RationalCurve(7)).h1 == 0
+    assert normal_cohomology(CompleteIntersection(2, 2)).h1 == 0
     # surfaces of degree >= 4 leave sections of O_C(d2 - 4) in the way
-    assert h1_normal(CompleteIntersection(1, 4)) == 1
-    assert h1_normal(CompleteIntersection(4, 4)) == 2
+    assert normal_cohomology(CompleteIntersection(1, 4)).h1 == 1
+    assert normal_cohomology(CompleteIntersection(4, 4)).h1 == 2
 
 
 def test_invalid_families_rejected():

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from powerbasis import coefficient
 from sheafatlas.p3rr import ChernData, hp_from_chern, hp_o_p3
 
 sympy = pytest.importorskip("sympy")
@@ -23,7 +24,7 @@ def power_coefficients(expr):
 
 
 def coefficients(p):
-    return [p.coefficient(k) for k in range(4)]
+    return [coefficient(p, k) for k in range(4)]
 
 
 def chi_o_p3_shifted(j):
