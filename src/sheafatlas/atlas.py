@@ -20,7 +20,6 @@ from .families import (
     chern_sabc_closed,
     euler_check,
     half_c3,
-    hp_of_family,
 )
 from .p3rr import chern_from_hp, chi_o_p3, h0_o_p3, hp_from_chern, ChernData
 from . import curvecoh, transform
@@ -161,7 +160,7 @@ def enumerate_components(opts: EnumerationOptions) -> Atlas:
         for curve in curve_families_of_degree(d):
             for fam in fams:
                 key = (_kind(reflexive_tag(fam)), _kind(curve_tag(curve)))
-                for s in range(max_points(fam, curve) + 1):
+                for s in range(max_points(half_c3(fam), curve) + 1):
                     report = build_report(
                         ComponentDescriptor(fam, curve, s),
                         min_curve_degree=opts.min_curve_degree,
@@ -188,10 +187,10 @@ def _check(name: str, pairs) -> CheckResult:
 
 
 def _hilbert_matches_riemann_roch(f: ReflexiveFamily) -> bool:
-    """hp_of_family(f) against 2*chi(O(t)) - c2*(t+2) + c3/2, written out
+    """hp_from_chern(c) against 2*chi(O(t)) - c2*(t+2) + c3/2, written out
     separately and doubled, at t = 0..3 (four values fix a cubic)."""
     c = chern_of(f)
-    p = hp_of_family(f)
+    p = hp_from_chern(c)
     return all(2 * p.eval(t) == 4 * chi_o_p3(t) - 2 * c.c2 * (t + 2) + c.c3
                for t in range(4))
 
@@ -247,7 +246,7 @@ def verify_atlas(opts: EnumerationOptions) -> VerificationSummary:
             for r in atlas.reports
         ]),
         _check("two-route-section-count", [
-            (chi_hom_fl(r.descriptor) == 2 * r.chi_l, label(r))
+            (chi_hom_fl(r.descriptor, r.chi_l) == 2 * r.chi_l, label(r))
             for r in atlas.reports
         ]),
         _check("tangent-equals-component", [

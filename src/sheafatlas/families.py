@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exactpoly import HilbertPolynomial
-from .p3rr import ChernData, chern_from_hp, chi_o_p3, hp_from_chern
+from .p3rr import ChernData, chern_from_hp, chi_o_p3
 
 
 def _validate_exponents(a: int, b: int, c: int) -> int:
@@ -124,11 +124,6 @@ def chern_of(family: ReflexiveFamily) -> ChernData:
     if isinstance(family, IdealExtension):
         return ChernData(2, 0, family.m, 4 * family.m - 2)
     return chern_from_hp(hp_of_resolution(family.a, family.b, family.c))
-
-
-def hp_of_family(family: ReflexiveFamily) -> HilbertPolynomial:
-    """Hilbert polynomial of a family member (untwisted), from chern_of."""
-    return hp_from_chern(chern_of(family))
 
 
 def half_c3(family: ReflexiveFamily) -> int:

@@ -9,9 +9,11 @@ is computed here.  `assemble_report` is the one place a report's numbers
 are derived, each once: the invariants of L forced by c3(E) = 0, the Chern
 classes of E, the orbit-space and component dimensions, and a separately
 written tangent-space assembly that must reproduce the component dimension
-exactly.  It reads the public helpers `chi_l`, `chi_hom_fl`, `chern_of_e`
-and `check_conditions` (the admissibility ledger).  `verify` also calls
-`chi_hom_fl` and `stability_margin`; `describe` calls `check_conditions`.
+exactly.  It reads chi(L) once, via `chi_l`, and passes that integer to
+`chern_of_e` and `chi_hom_fl`; the admissibility ledger `check_conditions`
+passes n = c3(R)/2 to `max_points`.  No Hilbert polynomial is built on this
+path.  `verify` also calls `chi_hom_fl` and `stability_margin`; `describe`
+calls `check_conditions`.
 """
 
 from __future__ import annotations
@@ -38,9 +40,8 @@ from .families import (
     dim_paut,
     ext_profile,
     half_c3,
-    hp_of_family,
 )
-from .p3rr import CertificateError, ChernData, chern_from_hp, hp_o_p3
+from .p3rr import CertificateError, ChernData, chi_o_p3, hp_from_chern, hp_o_p3
 
 DEFAULT_MIN_CURVE_DEGREE = 2
 
@@ -235,29 +236,29 @@ def chi_l(d: ComponentDescriptor) -> int:
     return 2 * d.curve.degree + half_c3(d.reflexive) - d.s
 
 
-def hp_of_e(d: ComponentDescriptor) -> HilbertPolynomial:
-    """P(E) = P(F) - P(Q); Q = L + O_W has P(Q) = chi(L) + deg(C)*t + s,
-    that is, binomial coordinates (chi(L) + s - deg(C), deg(C), 0, 0)."""
-    deg = d.curve.degree
-    return hp_of_family(d.reflexive) - HilbertPolynomial(
-        chi_l(d) + d.s - deg, deg)
+def chern_of_e(d: ComponentDescriptor, chi: int) -> ChernData:
+    """Chern data of E = ker(F -> Q), chi = chi(L), from the integer values
+    P(E)(0) and P(E)(1) of P(E) = P(F) - P(Q).
 
-
-def chern_of_e(d: ComponentDescriptor) -> ChernData:
-    """Chern data of E = ker(F -> Q), via Hilbert-polynomial subtraction.
-
-    The result must come out as (2, 0, c2(R) + deg(C), 0); anything else
-    means chi(L) was overridden inconsistently somewhere upstream.
+    P(F)(t) = 2*chi(O(t)) - c2(R)*(t+2) + c3(R)/2 and P(Q)(t) = chi(L) + s
+    + deg(C)*t; inverting the first form gives c2 = P(0) - P(1) + 6 and
+    c3 = 2*(P(0) - 2 + 2*c2).  The result must come out as (2, 0, c2(R) +
+    deg(C), 0); anything else means chi(L) was overridden inconsistently.
     """
-    data = chern_from_hp(hp_of_e(d))
-    if data.c3 != 0:
+    r, deg = chern_of(d.reflexive), d.curve.degree
+    p0, p1 = (2 * chi_o_p3(t) - r.c2 * (t + 2) + r.c3 // 2
+              - (chi + d.s + deg * t) for t in (0, 1))
+    c2 = p0 - p1 + 6
+    c3 = 2 * (p0 - 2 + 2 * c2)
+    if c3 != 0:
         raise CertificateError(
-            "c3 of the transformed sheaf is %d, not 0" % data.c3)
-    return data
+            "c3 of the transformed sheaf is %d, not 0" % c3)
+    return ChernData(2, 0, c2, c3)
 
 
-def chi_hom_fl(d: ComponentDescriptor) -> int:
-    """chi(Hom(F, L)), equal to 2*chi(L) for both families.
+def chi_hom_fl(d: ComponentDescriptor, chi: int) -> int:
+    """chi(Hom(F, L)) with chi = chi(L), equal to 2*chi(L) for both
+    families.
 
     F restricts trivially to a general curve, which gives the 2*chi(L)
     route.  For the split family the resolution gives an independent
@@ -265,14 +266,13 @@ def chi_hom_fl(d: ComponentDescriptor) -> int:
     chi(L(j)) = chi(L) + j*deg(C); the two must agree exactly because
     3a + 2b + c = 2k.
     """
-    base = chi_l(d)
-    value = 2 * base
+    value = 2 * chi
     fam = d.reflexive
     if isinstance(fam, SplitResolution):
         deg = d.curve.degree
 
         def chi_l_twist(j: int) -> int:
-            return base + j * deg
+            return chi + j * deg
 
         kappa = fam.kappa
         via_resolution = (
@@ -289,10 +289,9 @@ def chi_hom_fl(d: ComponentDescriptor) -> int:
     return value
 
 
-def max_points(fam: ReflexiveFamily, curve: CurveFamily) -> int:
+def max_points(n: int, curve: CurveFamily) -> int:
     """The largest admissible s: n = c3(R)/2, or n - 1 on a rational curve,
     where the bound is strict."""
-    n = half_c3(fam)
     return n - 1 if isinstance(curve, RationalCurve) else n
 
 
@@ -307,7 +306,7 @@ def check_conditions(d: ComponentDescriptor) -> tuple[ConditionVerdict, ...]:
     """
     fam, curve, s = d.reflexive, d.curve, d.s
     n = half_c3(fam)
-    bound = max_points(fam, curve)
+    bound = max_points(n, curve)
     points = ConditionVerdict(
         "points-bound",
         ConditionStatus.HOLDS if s <= bound else ConditionStatus.FAILS,
@@ -351,7 +350,8 @@ def stability_margin(d: ComponentDescriptor) -> HilbertPolynomial:
 
     Only the extension family needs a margin (the split family has
     h0(F) = 0 and is destabilized by nothing).  The margin is the linear
-    polynomial P(E)/2 - P(I_{C+W'}) for the worst case W' = W.  It is
+    polynomial P(E)/2 - P(I_{C+W'}) for the worst case W' = W, with P(E)
+    built from the Chern classes of E by hp_from_chern.  It is
     genuinely half-integral, so twice it, P(E) - 2*P(I_{C+W'}), is returned:
     an integer linear polynomial whose leading coefficient deg(C) - m is
     positive exactly when m < deg(C).
@@ -361,7 +361,7 @@ def stability_margin(d: ComponentDescriptor) -> HilbertPolynomial:
         raise ValueError("stability margin applies to the extension family only")
     deg = d.curve.degree
     p_ideal = hp_o_p3() - HilbertPolynomial(1 - genus(d.curve) + d.s - deg, deg)
-    margin = hp_of_e(d) - p_ideal.scale(2)
+    margin = hp_from_chern(chern_of_e(d, chi_l(d))) - p_ideal.scale(2)
     if margin.coords[2] or margin.coords[3]:
         raise CertificateError("stability margin %r is not linear" % margin)
     return margin
@@ -460,11 +460,11 @@ def assemble_report(d: ComponentDescriptor) -> ComponentReport:
     """
     fam, curve, s = d.reflexive, d.curve, d.s
     chern_r = chern_of(fam)
-    chern_e = chern_of_e(d)
     chi = chi_l(d)
+    chern_e = chern_of_e(d, chi)
     g = genus(curve)
     normal = normal_cohomology(curve)
-    chi_hom = chi_hom_fl(d)
+    chi_hom = chi_hom_fl(d, chi)
     if chi_hom < 1:
         raise ValueError("empty Hom: chi(Hom(F,L)) = %d" % chi_hom)
     orbit = (chi_hom - 1) + s

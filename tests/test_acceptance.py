@@ -135,7 +135,7 @@ def test_criterion_04_two_route_equality(atlases):
                 - fam.b * (base + (kappa + 2) * deg)
                 - fam.c * (base + (kappa + 1) * deg)
             )
-            assert via_resolution == 2 * base == chi_hom_fl(d)
+            assert via_resolution == 2 * base == chi_hom_fl(d, base)
             checked += 1
     assert checked > 0
 

@@ -168,8 +168,8 @@ def test_verify_atlas_k12_notes_mixed_triples_only():
 def test_sheaf_hilbert_numerical_can_fail(monkeypatch, extra):
     # One coordinate of every family polynomial off by one: only the
     # Riemann-Roch comparison sees it, once per family.
-    real = atlas.hp_of_family
-    monkeypatch.setattr(atlas, "hp_of_family", lambda f: real(f) + extra)
+    real = atlas.hp_from_chern
+    monkeypatch.setattr(atlas, "hp_from_chern", lambda c: real(c) + extra)
     checks = {c.name: c for c in verify_atlas(EnumerationOptions(k=4)).checks}
     broken = checks.pop("sheaf-hilbert-numerical")
     assert broken.passed == 0 and broken.failed > 0

@@ -17,9 +17,9 @@ from sheafatlas.families import (
     euler_check,
     ext_profile,
     half_c3,
-    hp_of_family,
     hp_of_resolution,
 )
+from sheafatlas.exactpoly import HilbertPolynomial
 from sheafatlas.p3rr import ChernData, hp_from_chern
 
 
@@ -110,14 +110,15 @@ def test_c3_parity_and_positivity():
 
 
 def test_hp_of_family_is_the_resolution_polynomial():
-    # hp_of_family rebuilds the polynomial from the cached Chern data; for
-    # the split family that must be the resolution polynomial itself.
+    # The family polynomial is rebuilt from the cached Chern data; for the
+    # split family that must be the resolution polynomial itself, and for
+    # the extension family (c2, c3) = (m, 4m - 2) gives (m - 1, -m, 0, 2).
     for (a, b, c) in admissible_triples(30):
-        assert hp_of_family(SplitResolution(a, b, c)) == hp_of_resolution(
-            a, b, c)
+        assert hp_from_chern(chern_of(SplitResolution(a, b, c))) == \
+            hp_of_resolution(a, b, c)
     for m in range(1, 21):
-        family = IdealExtension(m)
-        assert hp_of_family(family) == hp_from_chern(chern_of(family))
+        assert hp_from_chern(chern_of(IdealExtension(m))) == \
+            HilbertPolynomial(m - 1, -m, 0, 2)
 
 
 def test_family_hilbert_polynomials_are_numerical():
@@ -125,7 +126,7 @@ def test_family_hilbert_polynomials_are_numerical():
     fams = [SplitResolution(*abc) for abc in admissible_triples(20)]
     fams += [IdealExtension(m) for m in range(1, 21)]
     for fam in fams:
-        p = hp_of_family(fam)
+        p = hp_from_chern(chern_of(fam))
         for t in range(-6, 7):
             value = p.eval(t)
             assert type(value) is int

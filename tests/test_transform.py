@@ -11,12 +11,22 @@ import pytest
 
 import sheafatlas
 from powerbasis import coefficient
-from sheafatlas import transform
+from sheafatlas import atlas, transform
 from sheafatlas.atlas import EnumerationOptions, enumerate_components
 from sheafatlas.curvecoh import CompleteIntersection, RationalCurve, genus
 from sheafatlas.exactpoly import HilbertPolynomial
-from sheafatlas.families import IdealExtension, SplitResolution, half_c3
-from sheafatlas.p3rr import CertificateError, ChernData
+from sheafatlas.families import (
+    IdealExtension,
+    SplitResolution,
+    chern_of,
+    half_c3,
+)
+from sheafatlas.p3rr import (
+    CertificateError,
+    ChernData,
+    chern_from_hp,
+    hp_from_chern,
+)
 from sheafatlas.transform import (
     CONDITION_IDS,
     ComponentDescriptor,
@@ -28,6 +38,7 @@ from sheafatlas.transform import (
     check_conditions,
     chern_of_e,
     chi_hom_fl,
+    chi_l,
     stability_margin,
 )
 
@@ -56,16 +67,36 @@ def test_chi_l_examples():
 
 
 def test_chern_of_e_examples():
-    assert chern_of_e(V1_CONIC) == ChernData(2, 0, 3, 0)
-    assert chern_of_e(S002_CONIC) == ChernData(2, 0, 4, 0)
-    assert chern_of_e(V1_PLANE_CUBIC) == ChernData(2, 0, 4, 0)
+    assert chern_of_e(V1_CONIC, 5) == ChernData(2, 0, 3, 0)
+    assert chern_of_e(S002_CONIC, 6) == ChernData(2, 0, 4, 0)
+    assert chern_of_e(V1_PLANE_CUBIC, 6) == ChernData(2, 0, 4, 0)
+
+
+def _chern_of_e_by_polynomials(d, chi):
+    # The polynomial route chern_of_e replaced, kept as its oracle:
+    # P(E) = P(F) - P(Q) with P(Q) in binomial coordinates
+    # (chi(L) + s - deg(C), deg(C), 0, 0), inverted by chern_from_hp.
+    deg = d.curve.degree
+    return chern_from_hp(hp_from_chern(chern_of(d.reflexive))
+                         - HilbertPolynomial(chi + d.s - deg, deg))
+
+
+def test_chern_of_e_matches_the_polynomial_route():
+    for report in all_reports():
+        d, chi = report.descriptor, report.chi_l
+        assert chern_of_e(d, chi) == _chern_of_e_by_polynomials(d, chi)
+        for wrong in (chi - 1, chi + 1):
+            c3 = _chern_of_e_by_polynomials(d, wrong).c3
+            assert c3 != 0
+            with pytest.raises(CertificateError, match="is %d, not 0" % c3):
+                chern_of_e(d, wrong)
 
 
 def test_chi_hom_fl_examples():
-    assert chi_hom_fl(V1_CONIC) == 10
-    assert chi_hom_fl(S002_CONIC) == 12
+    assert chi_hom_fl(V1_CONIC, chi_l(V1_CONIC)) == 10
+    assert chi_hom_fl(S002_CONIC, chi_l(S002_CONIC)) == 12
     d = ComponentDescriptor(SplitResolution(0, 1, 0), RationalCurve(3), 2)
-    assert chi_hom_fl(d) == 16
+    assert chi_hom_fl(d, chi_l(d)) == 16
 
 
 def test_hom_orbit_dim_examples():
@@ -193,8 +224,8 @@ def test_stability_margin():
                                    HilbertPolynomial(0, 0, 1, 0)],
                          ids=["n3", "n2"])
 def test_nonlinear_stability_margin_raises(monkeypatch, extra):
-    real = transform.hp_of_family
-    monkeypatch.setattr(transform, "hp_of_family", lambda f: real(f) + extra)
+    real = transform.hp_from_chern
+    monkeypatch.setattr(transform, "hp_from_chern", lambda c: real(c) + extra)
     with pytest.raises(CertificateError, match="not linear"):
         stability_margin(V1_CONIC)
 
@@ -298,6 +329,23 @@ def _kappa_off_by_one(monkeypatch):
         lambda f: (3 * f.a + 2 * f.b + f.c) // 2 + 1))
 
 
+def _closed_c2_off_by_one(monkeypatch):
+    real = transform.chern_sabc_closed
+
+    def closed(a, b, c):
+        c2, c3 = real(a, b, c)
+        return c2 + 1, c3
+    monkeypatch.setattr(transform, "chern_sabc_closed", closed)
+
+
+def _chi_o_p3_shifted_like_c2(monkeypatch):
+    # An off-by-one in any single input of chern_of_e moves c3 first.  A
+    # shift of chi(O(t)) by t + 2 is what c2(R) - 2 would do to P(F), so
+    # c3 stays 0 and only c2(E) is wrong.
+    real = transform.chi_o_p3
+    monkeypatch.setattr(transform, "chi_o_p3", lambda j: real(j) + j + 2)
+
+
 def _paut_off_by_one(monkeypatch):
     # read by the component route only
     real = transform.dim_paut
@@ -316,8 +364,10 @@ def _ext_hom_off_by_one(monkeypatch):
     (_kappa_off_by_one, S002_CONIC, "route mismatch"),
     (_paut_off_by_one, V1_CONIC, "assembly mismatch"),
     (_ext_hom_off_by_one, S002_CONIC, "assembly mismatch"),
+    (_closed_c2_off_by_one, S002_CONIC, "closed-form c2 3 disagrees"),
+    (_chi_o_p3_shifted_like_c2, V1_CONIC, r"c2\(E\) = 1 is not c2\(R\)"),
 ], ids=["transformed-c3", "section-count-route", "component-route",
-        "tangent-route"])
+        "tangent-route", "closed-form-c2", "transformed-c2"])
 def test_broken_certificates_raise_certificate_error(monkeypatch, breakage,
                                                      descriptor, message):
     # Not a ValueError: the CLI would report it as an inadmissible
@@ -327,21 +377,53 @@ def test_broken_certificates_raise_certificate_error(monkeypatch, breakage,
         assemble_report(descriptor)
 
 
+def _count_calls(monkeypatch, names, modules=(transform,)):
+    """Count calls of each named function through the given modules."""
+    calls = dict.fromkeys(names, 0)
+    for module in modules:
+        for name in names:
+            if hasattr(module, name):
+                real = getattr(module, name)
+
+                def counted(*args, name=name, real=real):
+                    calls[name] += 1
+                    return real(*args)
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 @pytest.mark.parametrize("descriptor", [
     transform.M3_DESCRIPTOR,
     ComponentDescriptor(SplitResolution(0, 1, 0), RationalCurve(3), 2),
 ], ids=["m3", "S010-R3-s2"])
 def test_assemble_report_derives_each_number_once(monkeypatch, descriptor):
-    calls = {"chi_hom_fl": 0, "check_conditions": 0}
-    for name in calls:
-        real = getattr(transform, name)
+    # chi(L) is read once and n = c3(R)/2 twice (chi_l and the ledger);
+    # with the family's Chern data cached, no Hilbert polynomial is built.
+    transform.chern_of(descriptor.reflexive)
+    calls = _count_calls(monkeypatch, (
+        "chi_l", "half_c3", "chi_hom_fl", "check_conditions"))
+    built = []
+    real_init = HilbertPolynomial.__init__
 
-        def counted(d, name=name, real=real):
-            calls[name] += 1
-            return real(d)
-        monkeypatch.setattr(transform, name, counted)
+    def init(self, *args):
+        built.append(args)
+        real_init(self, *args)
+    monkeypatch.setattr(HilbertPolynomial, "__init__", init)
     assemble_report(descriptor)
-    assert calls == {"chi_hom_fl": 1, "check_conditions": 1}
+    assert calls == {"chi_l": 1, "half_c3": 2, "chi_hom_fl": 1,
+                     "check_conditions": 1}
+    assert built == []
+
+
+def test_enumeration_reads_chi_and_n_once_per_report(monkeypatch):
+    # build_report adds one ledger (one more n) per report, and the
+    # enumeration one n per (family, curve) pair for the range of s.
+    calls = _count_calls(monkeypatch, ("chi_l", "half_c3"),
+                         modules=(transform, atlas))
+    reports = enumerate_components(EnumerationOptions(k=22)).reports
+    pairs = {(r.descriptor.reflexive, r.descriptor.curve) for r in reports}
+    assert calls["chi_l"] == len(reports)
+    assert calls["half_c3"] == 3 * len(reports) + len(pairs)
 
 
 def test_transformed_chern_all_descriptors():
