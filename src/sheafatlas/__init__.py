@@ -3,9 +3,11 @@ semistable sheaves on P^3 obtained by elementary transformations of
 reflexive sheaves along curves and collections of points.
 
 All arithmetic is exact and done in integers; `Fraction` appears only in the
-closed-form c3 audit and the JSON rationals.  Every closed-form formula is
-cross-checked against an independent route, and disagreements are reported
-rather than repaired.
+closed-form c3 audit and the JSON rationals.  Every Chern number is read off
+integer values of a Hilbert polynomial through the Riemann-Roch dictionary
+in `p3rr`; `HilbertPolynomial` serves only `verify`'s checks of that
+dictionary.  Every closed-form formula is cross-checked against an
+independent route, and disagreements are reported rather than repaired.
 """
 
 from .atlas import (

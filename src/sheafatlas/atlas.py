@@ -21,7 +21,8 @@ from .families import (
     euler_check,
     half_c3,
 )
-from .p3rr import chern_from_hp, chi_o_p3, h0_o_p3, hp_from_chern, ChernData
+from .p3rr import (ChernData, chern_from_hp, chi_o_p3, h0_o_p3, hp_from_chern,
+                   hp_value)
 from . import curvecoh, transform
 from .transform import (
     ComponentDescriptor,
@@ -187,12 +188,11 @@ def _check(name: str, pairs) -> CheckResult:
 
 
 def _hilbert_matches_riemann_roch(f: ReflexiveFamily) -> bool:
-    """hp_from_chern(c) against 2*chi(O(t)) - c2*(t+2) + c3/2, written out
-    separately and doubled, at t = 0..3 (four values fix a cubic)."""
+    """hp_from_chern(c), in binomial coordinates, against the value form
+    hp_value(c, t) at t = 0..3 (four values fix a cubic)."""
     c = chern_of(f)
     p = hp_from_chern(c)
-    return all(2 * p.eval(t) == 4 * chi_o_p3(t) - 2 * c.c2 * (t + 2) + c.c3
-               for t in range(4))
+    return all(p.eval(t) == hp_value(c, t) for t in range(4))
 
 
 def verify_atlas(opts: EnumerationOptions) -> VerificationSummary:
@@ -274,7 +274,7 @@ def verify_atlas(opts: EnumerationOptions) -> VerificationSummary:
             (_hilbert_matches_riemann_roch(f), repr(f)) for f in families_seen
         ]),
         _check("stability-margin-positive", [
-            (stability_margin(r.descriptor).coords[1] > 0, label(r))
+            (stability_margin(r.descriptor)[1] > 0, label(r))
             for r in atlas.reports
             if isinstance(r.descriptor.reflexive, IdealExtension)
         ] or [(True, "no extension families")]),

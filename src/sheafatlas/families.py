@@ -7,10 +7,11 @@ resolution with split bundles: (a+b+c+2) copies of O surject onto the
 the ideal sheaf of a smooth rational curve of degree m by O.
 
 Chern classes of the split family are computed by two independent routes:
-the resolution's Hilbert polynomial inverted through Riemann-Roch (the
-authoritative one), and the closed forms in a, b, c.  The closed form for
-c3 fails integrality on some mixed exponent triples, so it is returned as
-an exact rational and audited, never trusted.
+the integer values at t = 0..3 of the resolution's Hilbert polynomial,
+inverted through the Riemann-Roch dictionary of `p3rr` (the authoritative
+one), and the closed forms in a, b, c.  The closed form for c3 fails
+integrality on some mixed exponent triples, so it is returned as an exact
+rational and audited, never trusted.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactpoly import HilbertPolynomial
-from .p3rr import ChernData, chern_from_hp, chi_o_p3
+from .p3rr import ChernData, chern_from_values, chi_o_p3, hp_value
 
 
 def _validate_exponents(a: int, b: int, c: int) -> int:
@@ -79,23 +79,6 @@ class ExtProfile:
         return self.hom - self.ext1 + self.ext2 - self.ext3
 
 
-def hp_of_resolution(a: int, b: int, c: int) -> HilbertPolynomial:
-    """Hilbert polynomial of the untwisted split-resolution sheaf.
-
-    P(t) = (a+b+c+2)*chi(O(t-k)) - a*chi(O(t-k-3)) - b*chi(O(t-k-2))
-           - c*chi(O(t-k-1)),  k = (3a+2b+c)/2, read off its integer values
-    at t = -1..-4.
-    """
-    kappa = _validate_exponents(a, b, c)
-
-    def value(t: int) -> int:
-        u = t - kappa
-        return ((a + b + c + 2) * chi_o_p3(u) - a * chi_o_p3(u - 3)
-                - b * chi_o_p3(u - 2) - c * chi_o_p3(u - 1))
-
-    return HilbertPolynomial.from_values(*(value(t) for t in (-1, -2, -3, -4)))
-
-
 def chern_sabc_closed(a: int, b: int, c: int) -> tuple[int, Fraction]:
     """Closed-form (c2, c3) of the split family, evaluated literally.
 
@@ -118,12 +101,27 @@ def chern_sabc_closed(a: int, b: int, c: int) -> tuple[int, Fraction]:
 def chern_of(family: ReflexiveFamily) -> ChernData:
     """Chern data of a family member from the resolution route.
 
+    For the split family the Hilbert polynomial of the untwisted sheaf is
+    P(t) = (a+b+c+2)*chi(O(t-k)) - a*chi(O(t-k-3)) - b*chi(O(t-k-2))
+           - c*chi(O(t-k-1)),  k = (3a+2b+c)/2.
+    P(0) and P(1) give (c2, c3); P(2) and P(3) must then be the Riemann-Roch
+    values of that data, since four values fix a cubic and a rank-2, c1 = 0
+    sheaf has no other Hilbert polynomial.
+
     This is the authoritative oracle; the closed forms are audited against
     it by the transform module (c2 certified, c3 flagged as a note).
     """
     if isinstance(family, IdealExtension):
         return ChernData(2, 0, family.m, 4 * family.m - 2)
-    return chern_from_hp(hp_of_resolution(family.a, family.b, family.c))
+    a, b, c = family.a, family.b, family.c
+    kappa = _validate_exponents(a, b, c)
+    values = [(a + b + c + 2) * chi_o_p3(u) - a * chi_o_p3(u - 3)
+              - b * chi_o_p3(u - 2) - c * chi_o_p3(u - 1)
+              for u in range(-kappa, 4 - kappa)]
+    chern = chern_from_values(*values[:2])
+    if values[2:] != [hp_value(chern, 2), hp_value(chern, 3)]:
+        raise ValueError("not a rank-2 c1=0 Hilbert polynomial")
+    return chern
 
 
 def half_c3(family: ReflexiveFamily) -> int:

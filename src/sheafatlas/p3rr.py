@@ -1,7 +1,14 @@
 """Riemann-Roch bookkeeping on projective 3-space.
 
-Euler characteristics of twisted line bundles, and the exact dictionary
-between Hilbert polynomials and Chern data in the rank-2, c1 = 0 slice.
+Euler characteristics of twisted line bundles, and the one owner of the
+exact dictionary between Hilbert polynomials and Chern data in the rank-2,
+c1 = 0 slice, P(t) = 2*chi(O(t)) - c2*(t+2) + c3/2, in two forms:
+
+- value form, used by every Chern number the program reports: `hp_value`
+  evaluates P at an integer, and `chern_from_values` inverts P(0), P(1);
+- binomial form, used by `verify`'s round-trip and Riemann-Roch checks:
+  `hp_from_chern` and `chern_from_hp` map to and from `HilbertPolynomial`.
+
 Only that slice is exposed: the curve and rank-1 pieces of the calculus live
 with their own chi formulas in the modules that need them.
 """
@@ -53,10 +60,16 @@ def h0_o_p3(j: int) -> int:
     return chi_o_p3(j) if j >= 0 else 0
 
 
-def hp_o_p3(j: int = 0) -> HilbertPolynomial:
-    """The Hilbert polynomial t -> chi(O_P3(t + j)), from its values at
-    t = -1..-4."""
-    return HilbertPolynomial.from_values(*(chi_o_p3(j + t) for t in (-1, -2, -3, -4)))
+def hp_value(c: ChernData, t: int) -> int:
+    """P(t) = 2*chi(O(t)) - c2*(t+2) + c3/2 for rank-2, c1 = 0 data c."""
+    return 2 * chi_o_p3(t) - c.c2 * (t + 2) + c.c3 // 2
+
+
+def chern_from_values(p0: int, p1: int) -> ChernData:
+    """Invert hp_value from P(0) = 2 - 2*c2 + c3/2 and P(1) = 8 - 3*c2 +
+    c3/2: c2 = P(0) - P(1) + 6 and c3 = 2*(P(0) - 2 + 2*c2)."""
+    c2 = p0 - p1 + 6
+    return ChernData(2, 0, c2, 2 * (p0 - 2 + 2 * c2))
 
 
 def hp_from_chern(c: ChernData) -> HilbertPolynomial:

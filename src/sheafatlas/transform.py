@@ -11,9 +11,11 @@ classes of E, the orbit-space and component dimensions, and a separately
 written tangent-space assembly that must reproduce the component dimension
 exactly.  It reads chi(L) once, via `chi_l`, and passes that integer to
 `chern_of_e` and `chi_hom_fl`; the admissibility ledger `check_conditions`
-passes n = c3(R)/2 to `max_points`.  No Hilbert polynomial is built on this
-path.  `verify` also calls `chi_hom_fl` and `stability_margin`; `describe`
-calls `check_conditions`.
+passes n = c3(R)/2 to `max_points`.  Chern numbers and the stability
+margin are read off integer values of Hilbert polynomials through the
+dictionary in `p3rr`, so no polynomial object is built here.  `verify` also
+calls `chi_hom_fl` and `stability_margin`; `describe` calls
+`check_conditions`.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .curvecoh import (
     genus,
     normal_cohomology,
 )
-from .exactpoly import HilbertPolynomial
 from .families import (
     IdealExtension,
     ReflexiveFamily,
@@ -41,7 +42,8 @@ from .families import (
     ext_profile,
     half_c3,
 )
-from .p3rr import CertificateError, ChernData, chi_o_p3, hp_from_chern, hp_o_p3
+from .p3rr import (CertificateError, ChernData, chern_from_values, chi_o_p3,
+                   hp_value)
 
 DEFAULT_MIN_CURVE_DEGREE = 2
 
@@ -240,20 +242,17 @@ def chern_of_e(d: ComponentDescriptor, chi: int) -> ChernData:
     """Chern data of E = ker(F -> Q), chi = chi(L), from the integer values
     P(E)(0) and P(E)(1) of P(E) = P(F) - P(Q).
 
-    P(F)(t) = 2*chi(O(t)) - c2(R)*(t+2) + c3(R)/2 and P(Q)(t) = chi(L) + s
-    + deg(C)*t; inverting the first form gives c2 = P(0) - P(1) + 6 and
-    c3 = 2*(P(0) - 2 + 2*c2).  The result must come out as (2, 0, c2(R) +
-    deg(C), 0); anything else means chi(L) was overridden inconsistently.
+    P(F) is the Riemann-Roch value of c(R) and P(Q)(t) = chi(L) + s +
+    deg(C)*t.  The result must come out as (2, 0, c2(R) + deg(C), 0);
+    anything else means chi(L) was overridden inconsistently.
     """
     r, deg = chern_of(d.reflexive), d.curve.degree
-    p0, p1 = (2 * chi_o_p3(t) - r.c2 * (t + 2) + r.c3 // 2
-              - (chi + d.s + deg * t) for t in (0, 1))
-    c2 = p0 - p1 + 6
-    c3 = 2 * (p0 - 2 + 2 * c2)
-    if c3 != 0:
+    chern = chern_from_values(*(hp_value(r, t) - (chi + d.s + deg * t)
+                                for t in (0, 1)))
+    if chern.c3 != 0:
         raise CertificateError(
-            "c3 of the transformed sheaf is %d, not 0" % c3)
-    return ChernData(2, 0, c2, c3)
+            "c3 of the transformed sheaf is %d, not 0" % chern.c3)
+    return chern
 
 
 def chi_hom_fl(d: ComponentDescriptor, chi: int) -> int:
@@ -344,27 +343,30 @@ def check_curve_degree_floor(floor: int) -> int:
     return floor
 
 
-def stability_margin(d: ComponentDescriptor) -> HilbertPolynomial:
+def stability_margin(d: ComponentDescriptor) -> tuple[int, int]:
     """Twice the slope margin of the transformed sheaf against its worst
-    subsheaf.
+    subsheaf, as the integer line (constant, slope) in t.
 
     Only the extension family needs a margin (the split family has
-    h0(F) = 0 and is destabilized by nothing).  The margin is the linear
-    polynomial P(E)/2 - P(I_{C+W'}) for the worst case W' = W, with P(E)
-    built from the Chern classes of E by hp_from_chern.  It is
-    genuinely half-integral, so twice it, P(E) - 2*P(I_{C+W'}), is returned:
-    an integer linear polynomial whose leading coefficient deg(C) - m is
-    positive exactly when m < deg(C).
+    h0(F) = 0 and is destabilized by nothing).  The margin is P(E)/2 -
+    P(I_{C+W'}) for the worst case W' = W, with P(E) the Riemann-Roch value
+    of the Chern classes of E and P(I_{C+W'})(t) = chi(O(t)) - (1 - g + s +
+    deg(C)*t).  It is genuinely half-integral, so twice it is taken, at
+    t = 0..3.  The cubic terms must cancel: its second differences vanish,
+    or CertificateError.  The slope deg(C) - m is positive exactly when
+    m < deg(C).
     """
     fam = d.reflexive
     if not isinstance(fam, IdealExtension):
         raise ValueError("stability margin applies to the extension family only")
-    deg = d.curve.degree
-    p_ideal = hp_o_p3() - HilbertPolynomial(1 - genus(d.curve) + d.s - deg, deg)
-    margin = hp_from_chern(chern_of_e(d, chi_l(d))) - p_ideal.scale(2)
-    if margin.coords[2] or margin.coords[3]:
-        raise CertificateError("stability margin %r is not linear" % margin)
-    return margin
+    chern_e = chern_of_e(d, chi_l(d))
+    deg, const = d.curve.degree, 1 - genus(d.curve) + d.s
+    m = [hp_value(chern_e, t) - 2 * (chi_o_p3(t) - const - deg * t)
+         for t in range(4)]
+    if m[2] - 2 * m[1] + m[0] or m[3] - 2 * m[2] + m[1]:
+        raise CertificateError(
+            "stability margin with values %r at t = 0..3 is not linear" % m)
+    return m[0], m[1] - m[0]
 
 
 def _erratum_notes(

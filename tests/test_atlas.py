@@ -162,14 +162,14 @@ def test_verify_atlas_k12_notes_mixed_triples_only():
                for n in summary.erratum_notes)
 
 
-@pytest.mark.parametrize("extra", [HilbertPolynomial(1),
-                                   HilbertPolynomial(0, -1)],
+@pytest.mark.parametrize("extra", [(1, 0, 0, 0), (0, -1, 0, 0)],
                          ids=["n0", "n1"])
 def test_sheaf_hilbert_numerical_can_fail(monkeypatch, extra):
     # One coordinate of every family polynomial off by one: only the
     # Riemann-Roch comparison sees it, once per family.
     real = atlas.hp_from_chern
-    monkeypatch.setattr(atlas, "hp_from_chern", lambda c: real(c) + extra)
+    monkeypatch.setattr(atlas, "hp_from_chern", lambda c: HilbertPolynomial(
+        *(n + e for n, e in zip(real(c).coords, extra))))
     checks = {c.name: c for c in verify_atlas(EnumerationOptions(k=4)).checks}
     broken = checks.pop("sheaf-hilbert-numerical")
     assert broken.passed == 0 and broken.failed > 0

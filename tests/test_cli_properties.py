@@ -1,5 +1,5 @@
-"""Property tests of `atlas describe` over random argv, valid and not.
-Test-only: the package stays stdlib-only."""
+"""Property tests of `atlas describe`, `enumerate` and `verify` over random
+argv, valid and not.  Test-only: the package stays stdlib-only."""
 
 import contextlib
 import io
@@ -8,6 +8,7 @@ import json
 import pytest
 
 from sheafatlas import transform
+from sheafatlas.atlas import EnumerationOptions
 from sheafatlas.cli import main
 from sheafatlas.transform import (
     ComponentDescriptor,
@@ -101,3 +102,60 @@ def test_describe_on_random_argv(reflexive, curve, points, floor, fmt):
         assert reflexive in out and curve in out
     else:
         assert code == 3
+
+
+MALFORMED = st.sampled_from(["05", "+3", "-1", "x", "", " 4", "3.0", "١"])
+FORMAT = st.one_of(st.sampled_from(["table", "json", "csv"]),
+                   st.sampled_from(["xml", "", "JSON", "2"]))
+
+
+def expected_enumerate_code(c2, floor, fmt):
+    """0 if the library accepts the options and the format is known, else
+    the usage-error code 2."""
+    if fmt is not None and fmt not in ("table", "json", "csv"):
+        return 2
+    try:
+        EnumerationOptions(k=canonical_int(c2),
+                           min_curve_degree=canonical_int(
+                               "2" if floor is None else floor))
+    except ValueError:
+        return 2
+    return 0
+
+
+# k stays at most 10 so each example enumerates a few hundred reports.
+@settings(max_examples=200, deadline=None)
+@given(c2=st.one_of(st.integers(-1, 10).map(str), MALFORMED),
+       floor=st.one_of(st.none(), st.integers(-1, 4).map(str), MALFORMED),
+       fmt=st.one_of(st.none(), FORMAT))
+def test_enumerate_on_random_argv(c2, floor, fmt):
+    argv = ["enumerate", "--c2", c2]
+    if floor is not None:
+        argv += ["--min-curve-degree", floor]
+    if fmt is not None:
+        argv += ["--format", fmt]
+    code, out, err = run(argv)
+    assert code in (0, 2)
+    assert "Traceback" not in err
+    assert code == expected_enumerate_code(c2, floor, fmt)
+    assert (out != "") == (code == 0)
+
+
+# --max-k stays at most 5; verify takes no --format, so passing one is a
+# usage error.
+@settings(max_examples=40, deadline=None)
+@given(max_k=st.one_of(st.integers(-1, 5).map(str), MALFORMED),
+       fmt=st.one_of(st.none(), FORMAT))
+def test_verify_on_random_argv(max_k, fmt):
+    argv = ["verify", "--max-k", max_k]
+    if fmt is not None:
+        argv += ["--format", fmt]
+    code, out, err = run(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    try:
+        valid = fmt is None and canonical_int(max_k) >= 3
+    except ValueError:
+        valid = False
+    assert code == (0 if valid else 2)
+    assert out.endswith("overall: PASS\n") == valid

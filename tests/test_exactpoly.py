@@ -1,4 +1,4 @@
-"""Integer binomial coordinates: evaluation, addition, power-basis view."""
+"""Integer binomial coordinates: evaluation and the power-basis view."""
 
 from fractions import Fraction
 
@@ -51,40 +51,17 @@ def test_eval_matches_brute_force():
             assert p.eval(t) == brute_eval(coords, t)
 
 
-def test_sub_self_is_zero():
-    p = HilbertPolynomial(1, -2, 3, 5)
-    assert p - p == HilbertPolynomial()
-
-
-def test_add_doubles_chi():
-    assert (CHI_P3 + CHI_P3).eval(1) == 8
-    assert CHI_P3 + CHI_P3 == CHI_P3.scale(2)
-
-
-def test_eval_is_additive():
-    ps = [HilbertPolynomial(1, 2, 3), HilbertPolynomial(0, 1),
-          HilbertPolynomial(-4, 0, 0, 1)]
-    for p in ps:
-        for q in ps:
-            for t in range(-5, 6):
-                assert (p + q).eval(t) == p.eval(t) + q.eval(t)
-                assert (p - q).eval(t) == p.eval(t) - q.eval(t)
-
-
 def test_is_numerical():
-    # Values are ints, not Fractions, on all of Z; and any four integer
-    # values at t = -1..-4 give integer coordinates.
+    # Values are ints, not Fractions, on all of Z.
     p = HilbertPolynomial(-3, 7, -5, 2)
     assert all(type(p.eval(t)) is int for t in range(-10, 11))
-    q = HilbertPolynomial.from_values(*(p.eval(t) for t in (-1, -2, -3, -4)))
-    assert q == p
-    assert all(type(n) is int for n in q.coords)
 
 
 def test_binomial_coordinates_of_basis():
+    # C(t+i, i) vanishes at t = -1..-i and is (-1)**i at t = -i-1, so the
+    # values at t = -1..-4 are triangular in the coordinates.
     for i, basis in enumerate(BINOMIAL_BASIS):
-        values = [basis.eval(t) for t in (-1, -2, -3, -4)]
-        assert HilbertPolynomial.from_values(*values) == basis
+        assert [basis.eval(-j) for j in range(1, i + 2)] == [0] * i + [(-1) ** i]
         assert ([coefficient(basis, k) for k in range(4)]
                 == BASIS_POWER_COEFFICIENTS[i])
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from powerbasis import coefficient
+from sheafatlas import families
 from sheafatlas.families import (
     ExtProfile,
     IdealExtension,
@@ -17,10 +18,9 @@ from sheafatlas.families import (
     euler_check,
     ext_profile,
     half_c3,
-    hp_of_resolution,
 )
 from sheafatlas.exactpoly import HilbertPolynomial
-from sheafatlas.p3rr import ChernData, hp_from_chern
+from sheafatlas.p3rr import ChernData, chi_o_p3, hp_from_chern, hp_value
 
 
 def admissible_triples(max_weight):
@@ -30,22 +30,44 @@ def admissible_triples(max_weight):
                 yield (a, b, w - 3 * a - 2 * b)
 
 
+def resolution_value(a, b, c, t):
+    """The resolution's Hilbert polynomial at t, summed term by term."""
+    kappa = (3 * a + 2 * b + c) // 2
+    return ((a + b + c + 2) * chi_o_p3(t - kappa) - a * chi_o_p3(t - kappa - 3)
+            - b * chi_o_p3(t - kappa - 2) - c * chi_o_p3(t - kappa - 1))
+
+
 def test_resolution_point_values():
-    p = hp_of_resolution(0, 0, 2)
-    assert (p.eval(0), p.eval(1)) == (0, 4)
-    assert hp_of_resolution(0, 1, 0).eval(0) == 0
-    assert hp_of_resolution(2, 0, 0).eval(0) == 20
+    # P(0), P(1) of the resolution, summed by hand, through chern_of
+    assert (resolution_value(0, 0, 2, 0), resolution_value(0, 0, 2, 1)) == (0, 4)
+    s002 = chern_of(SplitResolution(0, 0, 2))
+    assert (hp_value(s002, 0), hp_value(s002, 1)) == (0, 4)
+    assert hp_value(chern_of(SplitResolution(0, 1, 0)), 0) == 0
+    assert hp_value(chern_of(SplitResolution(2, 0, 0)), 0) == 20
 
 
 def test_resolution_rejects_bad_exponents():
-    with pytest.raises(ValueError):
-        hp_of_resolution(0, 0, 1)  # odd weight
-    with pytest.raises(ValueError):
-        hp_of_resolution(0, 0, 0)  # zero weight
-    with pytest.raises(ValueError):
-        hp_of_resolution(-1, 0, 3)
-    with pytest.raises(ValueError):
-        SplitResolution(0, 1, 1)
+    for abc in ((0, 0, 1), (0, 0, 0), (-1, 0, 3), (0, 1, 1)):
+        # odd weight, zero weight, a negative exponent, odd weight
+        with pytest.raises(ValueError):
+            SplitResolution(*abc)
+        with pytest.raises(ValueError):
+            chern_sabc_closed(*abc)
+
+
+def test_chern_of_rejects_a_non_riemann_roch_sum(monkeypatch):
+    # A t**2 term in every summand survives the resolution sum (the
+    # coefficients add to 2), so P(2) and P(3) miss the Riemann-Roch values
+    # of the (c2, c3) read off P(0) and P(1).
+    real = families.chi_o_p3
+    monkeypatch.setattr(families, "chi_o_p3", lambda j: real(j) + j * j)
+    chern_of.cache_clear()
+    try:
+        with pytest.raises(ValueError,
+                           match="not a rank-2 c1=0 Hilbert polynomial"):
+            chern_of(SplitResolution(0, 0, 2))
+    finally:
+        chern_of.cache_clear()
 
 
 def test_closed_form_examples():
@@ -111,11 +133,12 @@ def test_c3_parity_and_positivity():
 
 def test_hp_of_family_is_the_resolution_polynomial():
     # The family polynomial is rebuilt from the cached Chern data; for the
-    # split family that must be the resolution polynomial itself, and for
+    # split family its values must be those of the resolution sum, and for
     # the extension family (c2, c3) = (m, 4m - 2) gives (m - 1, -m, 0, 2).
     for (a, b, c) in admissible_triples(30):
-        assert hp_from_chern(chern_of(SplitResolution(a, b, c))) == \
-            hp_of_resolution(a, b, c)
+        chern = chern_of(SplitResolution(a, b, c))
+        for t in range(-6, 7):
+            assert hp_value(chern, t) == resolution_value(a, b, c, t)
     for m in range(1, 21):
         assert hp_from_chern(chern_of(IdealExtension(m))) == \
             HilbertPolynomial(m - 1, -m, 0, 2)

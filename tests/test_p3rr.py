@@ -6,10 +6,11 @@ from sheafatlas.exactpoly import HilbertPolynomial
 from sheafatlas.p3rr import (
     ChernData,
     chern_from_hp,
+    chern_from_values,
     chi_o_p3,
     h0_o_p3,
     hp_from_chern,
-    hp_o_p3,
+    hp_value,
 )
 
 
@@ -38,21 +39,25 @@ def test_h0_vs_chi():
             assert h0_o_p3(j) == 0
 
 
-def test_hp_o_p3_matches_chi():
-    for j in range(-5, 6):
-        p = hp_o_p3(j)
-        for t in range(-6, 7):
-            assert p.eval(t) == chi_o_p3(t + j)
-
-
 def test_hp_from_chern_trivial_bundle():
-    assert hp_from_chern(ChernData(2, 0, 0, 0)) == hp_o_p3().scale(2)
+    # O + O: twice chi(O(t)) = C(t+3, 3)
+    assert hp_from_chern(ChernData(2, 0, 0, 0)) == HilbertPolynomial(0, 0, 0, 2)
 
 
 def test_hp_from_chern_point_values():
     # extension of the ideal of a line by O: chi = chi(O) + chi(I_line)
     assert hp_from_chern(ChernData(2, 0, 1, 2)).eval(0) == 1
     assert hp_from_chern(ChernData(2, 0, 3, 0)).eval(1) == -1
+    assert hp_value(ChernData(2, 0, 1, 2), 0) == 1
+    assert hp_value(ChernData(2, 0, 3, 0), 1) == -1
+
+
+def test_value_form_round_trip():
+    for c2 in range(-20, 61):
+        for c3 in range(-100, 301, 2):
+            data = ChernData(2, 0, c2, c3)
+            assert chern_from_values(hp_value(data, 0),
+                                     hp_value(data, 1)) == data
 
 
 def test_hp_from_chern_rejects_unsupported():
@@ -75,11 +80,12 @@ def test_chern_from_hp_two_point_inversion():
     p = hp_from_chern(ChernData(2, 0, 2, 4))
     assert (p.eval(0), p.eval(1)) == (0, 4)
     assert chern_from_hp(p) == ChernData(2, 0, 2, 4)
+    assert chern_from_values(0, 4) == ChernData(2, 0, 2, 4)
 
 
 def test_chern_from_hp_shape_errors():
     with pytest.raises(ValueError, match="not a rank-2"):
-        chern_from_hp(hp_o_p3())
+        chern_from_hp(HilbertPolynomial(0, 0, 0, 1))  # chi(O(t))
     # one coordinate of a valid polynomial off by one: n3 != 2 or n2 != 0
     n0, n1, n2, n3 = hp_from_chern(ChernData(2, 0, 3, 4)).coords
     for coords in ((n0, n1, n2, n3 + 1), (n0, n1, n2, n3 - 1),
@@ -91,8 +97,11 @@ def test_chern_from_hp_shape_errors():
 def test_chern_from_hp_odd_c3():
     # Integer coordinates cannot carry the half-integral shift that once
     # gave an odd c3: shifting P by a constant 1 moves c3 by 2, staying even.
-    p = hp_from_chern(ChernData(2, 0, 1, 2)) + HilbertPolynomial(1)
+    n0, n1, n2, n3 = hp_from_chern(ChernData(2, 0, 1, 2)).coords
+    p = HilbertPolynomial(n0 + 1, n1, n2, n3)
     assert chern_from_hp(p) == ChernData(2, 0, 1, 4)
+    # the value form moves the same way: P(0) + 1, P(1) + 1
+    assert chern_from_values(p.eval(0), p.eval(1)) == ChernData(2, 0, 1, 4)
 
 
 def test_chern_data_parity_enforced():

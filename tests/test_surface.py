@@ -111,3 +111,47 @@ def test_integer_core_does_not_import_fractions(name):
     # rationals, and the power-basis view lives with the tests.
     source = (PACKAGE / ("%s.py" % name)).read_text(encoding="utf-8")
     assert "fractions" not in absolute_imports(source)
+
+
+# The stack, bottom first; a module imports only from layers below its own.
+LAYER_RANK = {"exactpoly": 0, "p3rr": 1, "curvecoh": 2, "families": 2,
+              "transform": 3, "atlas": 4, "render": 5, "cli": 6}
+
+
+def sibling_imports(source: str) -> list[str]:
+    """Package modules named by relative imports anywhere in the source."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                names.add(node.module.split(".")[0])
+            else:
+                names |= {a.name for a in node.names}
+    return sorted(names)
+
+
+def test_the_guard_sees_sibling_imports():
+    source = ("import os\nfrom .p3rr import chi_o_p3\n"
+              "from . import render, transform\n"
+              "def f():\n    from .exactpoly import HilbertPolynomial\n")
+    assert sibling_imports(source) == ["exactpoly", "p3rr", "render",
+                                       "transform"]
+
+
+def test_every_module_has_a_layer():
+    assert sorted(p.stem for p in MODULES) == sorted(LAYER_RANK)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_modules_import_only_from_lower_layers(path):
+    rank = LAYER_RANK[path.stem]
+    imported = sibling_imports(path.read_text(encoding="utf-8"))
+    assert [m for m in imported if LAYER_RANK[m] >= rank] == []
+
+
+@pytest.mark.parametrize("name", ["families", "transform"])
+def test_chern_numbers_do_not_import_exactpoly(name):
+    # Chern numbers are read off integer values through p3rr's value form;
+    # the binomial-coordinate class is for verify's checks only.
+    source = (PACKAGE / ("%s.py" % name)).read_text(encoding="utf-8")
+    assert "exactpoly" not in sibling_imports(source)

@@ -1,7 +1,9 @@
-"""Symbolic oracle for the Riemann-Roch polynomials of p3rr.
+"""Symbolic oracle for the Riemann-Roch dictionary of p3rr and for the
+Chern data that families.chern_of reads off the resolution.
 
-sympy expands the defining products itself, so neither check reuses the
-closed forms written out in p3rr.  Test-only: the package stays stdlib-only.
+sympy expands the defining products itself, so no check reuses the closed
+forms written out in p3rr or families.  Test-only: the package stays
+stdlib-only.
 """
 
 from fractions import Fraction
@@ -9,7 +11,8 @@ from fractions import Fraction
 import pytest
 
 from powerbasis import coefficient
-from sheafatlas.p3rr import ChernData, hp_from_chern, hp_o_p3
+from sheafatlas.families import SplitResolution, chern_of
+from sheafatlas.p3rr import ChernData, chi_o_p3, hp_from_chern
 
 sympy = pytest.importorskip("sympy")
 
@@ -32,11 +35,31 @@ def chi_o_p3_shifted(j):
     return (t + j + 1) * (t + j + 2) * (t + j + 3) / 6
 
 
-# hp_of_resolution shifts by -kappa - 3 .. -kappa with 2*kappa = 3a+2b+c,
-# so weights up to 30 use j in -18..0, well inside -40..40.
+# The Hilbert polynomial of O_P3(j) is the cubic through the values that
+# chi_o_p3 gives at j..j+3, which is all of each summand chern_of reads.
+# The resolution shifts by -kappa - 3 .. -kappa with 2*kappa = 3a+2b+c, so
+# weights up to 30 use j in -18..0, well inside -40..40.
 @pytest.mark.parametrize("j", range(-40, 41))
 def test_hp_o_p3_is_the_expanded_product(j):
-    assert coefficients(hp_o_p3(j)) == power_coefficients(chi_o_p3_shifted(j))
+    points = [(u, chi_o_p3(j + u)) for u in range(4)]
+    assert (power_coefficients(sympy.interpolate(points, t))
+            == power_coefficients(chi_o_p3_shifted(j)))
+
+
+@pytest.mark.parametrize("weight", range(2, 31, 2))
+def test_chern_of_is_the_expanded_resolution(weight):
+    # every triple with 3a + 2b + c = weight; 545 triples in all
+    kappa = weight // 2
+    for a in range(weight // 3 + 1):
+        for b in range((weight - 3 * a) // 2 + 1):
+            c = weight - 3 * a - 2 * b
+            expected = ((a + b + c + 2) * chi_o_p3_shifted(-kappa)
+                        - a * chi_o_p3_shifted(-kappa - 3)
+                        - b * chi_o_p3_shifted(-kappa - 2)
+                        - c * chi_o_p3_shifted(-kappa - 1))
+            chern = chern_of(SplitResolution(a, b, c))
+            assert (coefficients(hp_from_chern(chern))
+                    == power_coefficients(expected))
 
 
 @pytest.mark.parametrize("c2", range(-6, 31, 3))

@@ -10,7 +10,6 @@ from fractions import Fraction
 import pytest
 
 import sheafatlas
-from powerbasis import coefficient
 from sheafatlas import atlas, transform
 from sheafatlas.atlas import EnumerationOptions, enumerate_components
 from sheafatlas.curvecoh import CompleteIntersection, RationalCurve, genus
@@ -77,8 +76,9 @@ def _chern_of_e_by_polynomials(d, chi):
     # P(E) = P(F) - P(Q) with P(Q) in binomial coordinates
     # (chi(L) + s - deg(C), deg(C), 0, 0), inverted by chern_from_hp.
     deg = d.curve.degree
-    return chern_from_hp(hp_from_chern(chern_of(d.reflexive))
-                         - HilbertPolynomial(chi + d.s - deg, deg))
+    n0, n1, n2, n3 = hp_from_chern(chern_of(d.reflexive)).coords
+    return chern_from_hp(HilbertPolynomial(n0 - (chi + d.s - deg), n1 - deg,
+                                           n2, n3))
 
 
 def test_chern_of_e_matches_the_polynomial_route():
@@ -210,22 +210,36 @@ def test_generic_conditions_are_marked():
 
 
 def test_stability_margin():
-    # twice the margin: linear, with leading coefficient deg(C) - m
-    margin = stability_margin(V1_CONIC)
-    assert coefficient(margin, 3) == coefficient(margin, 2) == 0
-    assert coefficient(margin, 1) == 1
+    # twice the margin, (constant, slope) with slope deg(C) - m
+    assert stability_margin(V1_CONIC) == (-4, 1)
     cubic = ComponentDescriptor(IdealExtension(1), RationalCurve(3), 0)
-    assert coefficient(stability_margin(cubic), 1) == 2
+    assert stability_margin(cubic)[1] == 2
     with pytest.raises(ValueError):
         stability_margin(S002_CONIC)
 
 
-@pytest.mark.parametrize("extra", [HilbertPolynomial(0, 0, 0, 1),
-                                   HilbertPolynomial(0, 0, 1, 0)],
+def test_stability_margin_is_the_polynomial_difference():
+    # The polynomial route as an oracle: P(E) - 2*P(I_{C+W}) with
+    # P(I)(t) = chi(O(t)) - (1 - g + s + deg*t).
+    for report in all_reports():
+        d = report.descriptor
+        if not isinstance(d.reflexive, IdealExtension):
+            continue
+        deg = d.curve.degree
+        # P(I) in binomial coordinates: (g - 1 - s + deg, -deg, 0, 1)
+        n0, n1, n2, n3 = hp_from_chern(report.chern_e).coords
+        margin = HilbertPolynomial(n0 - 2 * (genus(d.curve) - 1 - d.s + deg),
+                                   n1 + 2 * deg, n2, n3 - 2)
+        assert margin.coords[2:] == (0, 0)
+        assert stability_margin(d) == (margin.eval(0), margin.coords[1])
+
+
+@pytest.mark.parametrize("extra", [lambda j: j ** 3, lambda j: j * j],
                          ids=["n3", "n2"])
 def test_nonlinear_stability_margin_raises(monkeypatch, extra):
-    real = transform.hp_from_chern
-    monkeypatch.setattr(transform, "hp_from_chern", lambda c: real(c) + extra)
+    # transform.chi_o_p3 reaches only P(I_{C+W}); P(E) reads p3rr's own.
+    real = transform.chi_o_p3
+    monkeypatch.setattr(transform, "chi_o_p3", lambda j: real(j) + extra(j))
     with pytest.raises(CertificateError, match="not linear"):
         stability_margin(V1_CONIC)
 
@@ -338,12 +352,13 @@ def _closed_c2_off_by_one(monkeypatch):
     monkeypatch.setattr(transform, "chern_sabc_closed", closed)
 
 
-def _chi_o_p3_shifted_like_c2(monkeypatch):
+def _hp_value_shifted_like_c2(monkeypatch):
     # An off-by-one in any single input of chern_of_e moves c3 first.  A
-    # shift of chi(O(t)) by t + 2 is what c2(R) - 2 would do to P(F), so
+    # shift of P(F)(t) by 2(t + 2) is what c2(R) - 2 would do to it, so
     # c3 stays 0 and only c2(E) is wrong.
-    real = transform.chi_o_p3
-    monkeypatch.setattr(transform, "chi_o_p3", lambda j: real(j) + j + 2)
+    real = transform.hp_value
+    monkeypatch.setattr(transform, "hp_value",
+                        lambda c, t: real(c, t) + 2 * (t + 2))
 
 
 def _paut_off_by_one(monkeypatch):
@@ -365,7 +380,7 @@ def _ext_hom_off_by_one(monkeypatch):
     (_paut_off_by_one, V1_CONIC, "assembly mismatch"),
     (_ext_hom_off_by_one, S002_CONIC, "assembly mismatch"),
     (_closed_c2_off_by_one, S002_CONIC, "closed-form c2 3 disagrees"),
-    (_chi_o_p3_shifted_like_c2, V1_CONIC, r"c2\(E\) = 1 is not c2\(R\)"),
+    (_hp_value_shifted_like_c2, V1_CONIC, r"c2\(E\) = 1 is not c2\(R\)"),
 ], ids=["transformed-c3", "section-count-route", "component-route",
         "tangent-route", "closed-form-c2", "transformed-c2"])
 def test_broken_certificates_raise_certificate_error(monkeypatch, breakage,
@@ -426,6 +441,21 @@ def test_enumeration_reads_chi_and_n_once_per_report(monkeypatch):
     assert calls["half_c3"] == 3 * len(reports) + len(pairs)
 
 
+def test_cold_enumeration_builds_no_hilbert_polynomial(monkeypatch):
+    # chern_of inverts integer values too, so even with its cache cleared
+    # an enumeration never constructs the binomial-coordinate class.
+    built = []
+    real_init = HilbertPolynomial.__init__
+
+    def init(self, *args):
+        built.append(args)
+        real_init(self, *args)
+    monkeypatch.setattr(HilbertPolynomial, "__init__", init)
+    chern_of.cache_clear()
+    assert len(enumerate_components(EnumerationOptions(k=12)).reports) == 245
+    assert built == []
+
+
 def test_transformed_chern_all_descriptors():
     for report in all_reports():
         d = report.descriptor
@@ -465,4 +495,4 @@ def test_dimension_monotone_in_s():
 def test_stability_margin_positive_for_extensions():
     for report in all_reports():
         if isinstance(report.descriptor.reflexive, IdealExtension):
-            assert coefficient(stability_margin(report.descriptor), 1) > 0
+            assert stability_margin(report.descriptor)[1] > 0
