@@ -4,8 +4,14 @@ Descriptors are written with the one codec in transform: the reflexive
 side is "S:a,b,c" or "V:m", the curve side "R:d" or "CI:d1,d2".  The same
 strings appear in CLI flags, CSV cells and JSON, so output can be fed back
 into the describe command.  JSON keeps every value exact: all
-integers are JSON numbers and the only rationals (inside erratum notes)
-are emitted as {"num": ..., "den": ...} objects.
+integers are JSON numbers and the rationals (the closed-form c3 and some
+erratum note values) are emitted as {"num": ..., "den": ...} objects.
+
+Schema-1 JSON is written from one fixed per-report template whose keys are
+spelled out in sorted order.  Its bytes are those json.dumps(indent=2,
+sort_keys=True) gives for the same tree, without building the tree: only
+erratum notes, whose values vary in shape, go through json.dumps, as does
+the atlas header, once.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ import csv
 import io
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _str
 
 from .atlas import Atlas, VerificationSummary, PUBLISHED_M3_PRIOR_COMPONENTS
 from .transform import (
@@ -50,50 +57,107 @@ def _note_dict(note: ErratumNote) -> dict:
     }
 
 
-def _chern_dict(c) -> dict:
-    return {"rank": c.rank, "c1": c.c1, "c2": c.c2, "c3": c.c3}
-
-
-def report_to_dict(report: ComponentReport) -> dict:
-    d = report.descriptor
-    closed = report.reflexive_chern_closed
-    return {
-        "descriptor": {
-            "reflexive": reflexive_tag(d.reflexive),
-            "curve": curve_tag(d.curve),
-            "s": d.s,
-        },
-        "k": report.k,
-        "chern_E": _chern_dict(report.chern_e),
-        "chern_routes": {
-            "resolution_oracle": _chern_dict(report.reflexive_chern),
-            "closed_form": None if closed is None else {
-                "c2": closed[0],
-                "c3": _json_value(closed[1]),
-            },
-        },
-        "deg_L": report.deg_l,
-        "chi_L": report.chi_l,
-        "chi_hom_FL": report.chi_hom_fl,
-        "hom_orbit_dim": report.hom_orbit_dim,
-        "dim_component": report.dim_component,
-        "dim_tangent": report.dim_tangent,
-        "verdicts": [
-            {"condition": v.condition, "status": v.status.value, "note": v.note}
-            for v in report.verdicts
-        ],
-        "signature": {
-            "curve_parts": [list(p) for p in report.signature.curve_parts],
-            "isolated_points_from_W": report.signature.isolated_points_from_w,
-            "reflexive_sing_c3": report.signature.reflexive_sing_c3,
-        },
-        "normal_bundle_h1": report.normal_bundle_h1,
-        "erratum_notes": [_note_dict(n) for n in report.erratum_notes],
+# One report as json.dumps(indent=2, sort_keys=True) lays it out, with its
+# opening brace at column 0.  The %s slots take strings, "null" or blocks
+# that _report_writer builds already indented.
+_REPORT = """{
+  "chern_E": {
+    "c1": %d,
+    "c2": %d,
+    "c3": %d,
+    "rank": %d
+  },
+  "chern_routes": {
+    "closed_form": %s,
+    "resolution_oracle": {
+      "c1": %d,
+      "c2": %d,
+      "c3": %d,
+      "rank": %d
     }
+  },
+  "chi_L": %d,
+  "chi_hom_FL": %d,
+  "deg_L": %d,
+  "descriptor": {
+    "curve": %s,
+    "reflexive": %s,
+    "s": %d
+  },
+  "dim_component": %d,
+  "dim_tangent": %d,
+  "erratum_notes": %s,
+  "hom_orbit_dim": %d,
+  "k": %d,
+  "normal_bundle_h1": %d,
+  "signature": {
+    "curve_parts": %s,
+    "isolated_points_from_W": %d,
+    "reflexive_sing_c3": %d
+  },
+  "verdicts": %s
+}"""
+_CLOSED_FORM = """{
+      "c2": %d,
+      "c3": {
+        "den": %d,
+        "num": %d
+      }
+    }"""
+_CURVE_PART = """
+      [
+        %d,
+        %d
+      ]"""
+_VERDICT = """
+    {
+      "condition": %s,
+      "note": %s,
+      "status": %s
+    }"""
 
 
-def atlas_to_dict(atlas: Atlas) -> dict:
-    return {
+def _list(items: list, close: str) -> str:
+    """A JSON array of written items, each of which starts a new line."""
+    return "[" + ",".join(items) + close if items else "[]"
+
+
+def _report_writer(pad: str):
+    """A function that writes one report from the _REPORT template, every
+    line after the first indented by pad."""
+    nl = "\n" + pad
+    report, closed_form, curve_part, verdict = (
+        t.replace("\n", nl)
+        for t in (_REPORT, _CLOSED_FORM, _CURVE_PART, _VERDICT))
+
+    def write(r: ComponentReport) -> str:
+        d, e, o, sig = r.descriptor, r.chern_e, r.reflexive_chern, r.signature
+        closed = r.reflexive_chern_closed
+        notes = "[]"
+        if r.erratum_notes:
+            notes = json.dumps([_note_dict(n) for n in r.erratum_notes],
+                               indent=2, sort_keys=True)
+            notes = notes.replace("\n", nl + "  ")
+        return report % (
+            e.c1, e.c2, e.c3, e.rank,
+            "null" if closed is None else closed_form % (
+                closed[0], closed[1].denominator, closed[1].numerator),
+            o.c1, o.c2, o.c3, o.rank,
+            r.chi_l, r.chi_hom_fl, r.deg_l,
+            _str(curve_tag(d.curve)), _str(reflexive_tag(d.reflexive)), d.s,
+            r.dim_component, r.dim_tangent, notes, r.hom_orbit_dim, r.k,
+            r.normal_bundle_h1,
+            _list([curve_part % p for p in sig.curve_parts], nl + "    ]"),
+            sig.isolated_points_from_w, sig.reflexive_sing_c3,
+            _list([verdict % (_str(v.condition), _str(v.note),
+                              _str(v.status.value)) for v in r.verdicts],
+                  nl + "  ]"),
+        )
+    return write
+
+
+def atlas_json(atlas: Atlas) -> str:
+    header = json.dumps({
         "schema_version": SCHEMA_VERSION,
         "k": atlas.k,
         "options": {
@@ -101,21 +165,24 @@ def atlas_to_dict(atlas: Atlas) -> dict:
             # Flagged families are always listed; schema 1 keeps the key.
             "include_erratum_families": True,
         },
-        "reports": [report_to_dict(r) for r in atlas.reports],
-    }
-
-
-def to_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def atlas_json(atlas: Atlas) -> str:
-    return to_json(atlas_to_dict(atlas))
+        "reports": [],
+    }, indent=2, sort_keys=True)
+    if not atlas.reports:
+        return header + "\n"
+    before, _, after = header.partition('"reports": []')
+    write = _report_writer("    ")
+    parts = [before]
+    sep = '"reports": [\n    '
+    for r in atlas.reports:
+        parts += (sep, write(r))
+        sep = ",\n    "
+    parts += ("\n  ]", after, "\n")
+    return "".join(parts)
 
 
 def report_json(report: ComponentReport) -> str:
-    return to_json({"schema_version": SCHEMA_VERSION,
-                    "report": report_to_dict(report)})
+    return '{\n  "report": %s,\n  "schema_version": %s\n}\n' % (
+        _report_writer("  ")(report), _str(SCHEMA_VERSION))
 
 
 def _csv_row(report: ComponentReport) -> list:

@@ -222,6 +222,29 @@ def test_failing_stdout_is_usage_error():
     assert "Traceback" not in proc.stderr
 
 
+def peak_rss_mb(*argv):
+    """Peak RSS of `python -m sheafatlas.cli argv` run as a child process,
+    with stdout discarded; the child must exit 0."""
+    src = os.path.dirname(os.path.dirname(sheafatlas.__file__))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    pid = os.posix_spawn(
+        sys.executable, [sys.executable, "-m", "sheafatlas.cli", *argv], env,
+        file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)])
+    _, status, usage = os.wait4(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    return usage.ru_maxrss / 1024  # ru_maxrss is in KiB on Linux
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads ru_maxrss in KiB, as Linux reports it")
+def test_json_peak_memory_is_near_the_table_peak():
+    # The JSON text is a few MB at c2 = 22; writing it must not hold a
+    # second tree of the atlas, so its peak stays near the table's.
+    argv = ("enumerate", "--c2", "22", "--format")
+    json_mb, table_mb = peak_rss_mb(*argv, "json"), peak_rss_mb(*argv, "table")
+    assert json_mb <= table_mb + 10, (json_mb, table_mb)
+
+
 @pytest.mark.parametrize("argv", [
     ("enumerate", "--c2", "4"),
     ("describe", "--reflexive", "V:1", "--curve", "R:2", "--points", "0"),

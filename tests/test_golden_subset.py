@@ -6,6 +6,7 @@ module replays a subset in-process through `sheafatlas.cli.main`, with
 `chern_of`'s cache cleared before each command as in a fresh process:
 
 - `enumerate` for c2 = 3..14 in every format, with the report counts;
+- `enumerate --format json` for c2 = 15..30, the sizes the benchmark runs;
 - `verify --max-k 10`;
 - every describe pair at s = 0..6, in format (pair index + s) % 3.
 
@@ -56,6 +57,15 @@ def test_enumerate_matches_golden(golden):
                 count = len(json.loads(out)["reports"])
                 if count != golden["atlas_reports"][str(k)]:
                     drift.append("report count for c2 = %d" % k)
+    assert drift == []
+
+
+def test_enumerate_json_matches_golden_up_to_30(golden):
+    drift = []
+    for k in range(15, 31):
+        argv = ["enumerate", "--c2", str(k), "--format", "json"]
+        if replay(argv)[0] != golden["enumerate"][" ".join(argv)]:
+            drift.append(" ".join(argv))
     assert drift == []
 
 

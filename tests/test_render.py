@@ -1,9 +1,157 @@
-"""Rendering of the verification transcript."""
+"""Rendering: the schema-1 JSON emitter against a dict-tree oracle, and the
+verification transcript.
+
+The oracle builds each report as a dict tree; serializing it with
+json.dumps(indent=2, sort_keys=True) must reproduce the emitter's bytes
+exactly.
+"""
+
+import json
+from fractions import Fraction
 
 import pytest
 
-from sheafatlas.atlas import CheckResult, VerificationSummary
-from sheafatlas.render import verification_text
+from sheafatlas.atlas import (
+    CheckResult,
+    EnumerationOptions,
+    VerificationSummary,
+    enumerate_components,
+)
+from sheafatlas.render import SCHEMA_VERSION, atlas_json, report_json, \
+    verification_text
+from sheafatlas.transform import (
+    ComponentDescriptor,
+    ConditionStatus,
+    assemble_report,
+    build_report,
+    curve_tag,
+    parse_curve,
+    parse_reflexive,
+    reflexive_tag,
+)
+
+
+def _value(value):
+    if isinstance(value, Fraction):
+        return {"num": value.numerator, "den": value.denominator}
+    if isinstance(value, tuple):
+        return [_value(v) for v in value]
+    return value
+
+
+def _chern(c):
+    return {"rank": c.rank, "c1": c.c1, "c2": c.c2, "c3": c.c3}
+
+
+def report_oracle(report):
+    d = report.descriptor
+    closed = report.reflexive_chern_closed
+    return {
+        "descriptor": {
+            "reflexive": reflexive_tag(d.reflexive),
+            "curve": curve_tag(d.curve),
+            "s": d.s,
+        },
+        "k": report.k,
+        "chern_E": _chern(report.chern_e),
+        "chern_routes": {
+            "resolution_oracle": _chern(report.reflexive_chern),
+            "closed_form": None if closed is None else {
+                "c2": closed[0],
+                "c3": _value(closed[1]),
+            },
+        },
+        "deg_L": report.deg_l,
+        "chi_L": report.chi_l,
+        "chi_hom_FL": report.chi_hom_fl,
+        "hom_orbit_dim": report.hom_orbit_dim,
+        "dim_component": report.dim_component,
+        "dim_tangent": report.dim_tangent,
+        "verdicts": [
+            {"condition": v.condition, "status": v.status.value, "note": v.note}
+            for v in report.verdicts
+        ],
+        "signature": {
+            "curve_parts": [list(p) for p in report.signature.curve_parts],
+            "isolated_points_from_W": report.signature.isolated_points_from_w,
+            "reflexive_sing_c3": report.signature.reflexive_sing_c3,
+        },
+        "normal_bundle_h1": report.normal_bundle_h1,
+        "erratum_notes": [
+            {"code": n.code, "message": n.message,
+             "values": {k: _value(v) for k, v in n.values}}
+            for n in report.erratum_notes
+        ],
+    }
+
+
+def atlas_oracle(atlas):
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "k": atlas.k,
+        "options": {
+            "min_curve_degree": atlas.options.min_curve_degree,
+            "include_erratum_families": True,
+        },
+        "reports": [report_oracle(r) for r in atlas.reports],
+    }
+
+
+def oracle_text(payload):
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def report_oracle_text(report):
+    return oracle_text({"schema_version": SCHEMA_VERSION,
+                        "report": report_oracle(report)})
+
+
+def descriptor(reflexive, curve, s):
+    return ComponentDescriptor(parse_reflexive(reflexive), parse_curve(curve),
+                               s)
+
+
+@pytest.mark.parametrize("floor", [1, 2, 3])
+def test_atlas_json_is_the_oracle_tree(floor):
+    for k in range(3, 17):
+        atlas = enumerate_components(EnumerationOptions(k, floor))
+        assert atlas_json(atlas) == oracle_text(atlas_oracle(atlas)), k
+    # k = 3 with floor 3 is the empty atlas
+    assert json.loads(atlas_json(enumerate_components(
+        EnumerationOptions(3, 3))))["reports"] == []
+
+
+def test_atlas_json_dumps_only_the_header_and_the_notes(monkeypatch):
+    atlas = enumerate_components(EnumerationOptions(12))
+    dumps, calls = json.dumps, []
+    monkeypatch.setattr(json, "dumps",
+                        lambda *a, **kw: calls.append(a) or dumps(*a, **kw))
+    atlas_json(atlas)
+    with_notes = [r for r in atlas.reports if r.erratum_notes]
+    assert 0 < len(with_notes) < len(atlas.reports)
+    assert len(calls) == 1 + len(with_notes)
+
+
+@pytest.mark.parametrize("reflexive, curve, s, code, closed_form", [
+    ("V:1", "R:2", 0, "published-m3-values", None),
+    ("S:1,0,1", "R:3", 1, "closed-form-c3-mismatch",
+     {"c2": 9, "c3": {"den": 2, "num": 77}}),
+], ids=["m3", "split-77/2"])
+def test_erratum_probe_report_json_is_the_oracle_tree(reflexive, curve, s,
+                                                      code, closed_form):
+    report = build_report(descriptor(reflexive, curve, s))
+    assert [n.code for n in report.erratum_notes] == [code]
+    text = report_json(report)
+    assert text == report_oracle_text(report)
+    routes = json.loads(text)["report"]["chern_routes"]
+    assert routes["closed_form"] == closed_form
+
+
+def test_inadmissible_best_effort_report_json_is_the_oracle_tree():
+    report = assemble_report(descriptor("V:2", "R:2", 0))
+    statuses = {v.condition: v.status for v in report.verdicts}
+    assert statuses["degree-bound"] is ConditionStatus.FAILS
+    assert report_json(report) == report_oracle_text(report)
 
 
 @pytest.mark.parametrize("failed, suffix", [(12, " (and 2 more)"), (10, "")],
