@@ -5,8 +5,8 @@ reflexive sheaves along curves and collections of points.
 All arithmetic is exact and done in integers; `Fraction` appears only in the
 closed-form c3 audit and the JSON rationals.  Every Chern number is read off
 integer values of a Hilbert polynomial through the Riemann-Roch dictionary
-in `p3rr`; `HilbertPolynomial` serves only `verify`'s checks of that
-dictionary.  Every closed-form formula is cross-checked against an
+in `p3rr`.  `HilbertPolynomial` is exported but used by no module of the
+package.  Every closed-form formula is cross-checked against an
 independent route, and disagreements are reported rather than repaired.
 """
 
@@ -22,8 +22,7 @@ from .atlas import (
 from .curvecoh import CompleteIntersection, CurveCohomology, RationalCurve
 from .exactpoly import HilbertPolynomial
 from .families import ExtProfile, IdealExtension, SplitResolution
-from .p3rr import (CertificateError, ChernData, chern_from_hp, chi_o_p3,
-                   h0_o_p3, hp_from_chern)
+from .p3rr import CertificateError, ChernData, chi_o_p3, h0_o_p3
 from .transform import (
     ComponentDescriptor,
     ComponentReport,
@@ -58,12 +57,10 @@ __all__ = [
     "SplitResolution",
     "VerificationSummary",
     "build_report",
-    "chern_from_hp",
     "chi_o_p3",
     "curve_families_of_degree",
     "enumerate_components",
     "h0_o_p3",
-    "hp_from_chern",
     "solve_sabc",
     "verify_atlas",
 ]

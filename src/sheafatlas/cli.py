@@ -5,8 +5,9 @@ Three subcommands: `enumerate` lists every component for a target c2,
 runs the invariant suites.  Exit codes are stable: 0 on success, 1 when
 `verify` finds a failing check, 2 on a usage error (including an
 unwritable --output path or stdout), 3 when a described descriptor is
-inadmissible (the report is still printed, with the failing verdicts), 130
-when interrupted with Ctrl-C (one line on stderr, no traceback).
+inadmissible (the report is still printed, with the failing verdicts), 4
+when the run exhausts memory, and 130 when interrupted with Ctrl-C (each of
+the last two with one line on stderr and no traceback).
 Output is deterministic; no environment variables or randomness are
 consulted.
 """
@@ -22,6 +23,7 @@ from .transform import ComponentDescriptor, canonical_int
 
 USAGE_ERROR = 2
 INADMISSIBLE = 3
+OUT_OF_MEMORY = 4
 INTERRUPTED = 130
 
 
@@ -152,6 +154,9 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return INTERRUPTED
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return OUT_OF_MEMORY
 
 
 if __name__ == "__main__":

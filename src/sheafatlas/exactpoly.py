@@ -1,11 +1,11 @@
 """Integer-valued polynomials of degree at most 3, in the binomial basis.
 
-This is the binomial form of the Riemann-Roch dictionary, kept for the
-`verify` checks that compare it with the value form in `p3rr`
-(`chern-round-trip` and `sheaf-hilbert-numerical`); no report is computed
-through it.  An integer-valued cubic is an integer combination of the
-binomials C(t+i, i), so it is stored as four `int` coordinates and
-evaluated with exact integers only.
+No module of the package uses this class: every Chern number is read off
+integer values through `p3rr`.  It stays exported only because the
+benchmark's per-layer tracer looks `HilbertPolynomial` up by name.  An
+integer-valued cubic is an integer combination of the binomials C(t+i, i),
+so it is stored as four `int` coordinates and evaluated with exact integers
+only.
 """
 
 from __future__ import annotations

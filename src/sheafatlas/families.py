@@ -6,12 +6,13 @@ resolution with split bundles: (a+b+c+2) copies of O surject onto the
 `IdealExtension(m)` is the properly mu-semistable family of extensions of
 the ideal sheaf of a smooth rational curve of degree m by O.
 
-Chern classes of the split family are computed by two independent routes:
-the integer values at t = 0..3 of the resolution's Hilbert polynomial,
-inverted through the Riemann-Roch dictionary of `p3rr` (the authoritative
-one), and the closed forms in a, b, c.  The closed form for c3 fails
-integrality on some mixed exponent triples, so it is returned as an exact
-rational and audited, never trusted.
+Both families are read the same way: `presentation_value` gives the Hilbert
+polynomial of the sheaf at an integer, summed from its presentation (the
+resolution, or the defining extension), and `chern_of` inverts its values
+at t = 0..3 through the Riemann-Roch dictionary of `p3rr`.  The split
+family has a second route, the closed forms in a, b, c; the closed form
+for c3 fails integrality on some mixed exponent triples, so it is returned
+as an exact rational and audited, never trusted.
 """
 
 from __future__ import annotations
@@ -97,27 +98,37 @@ def chern_sabc_closed(a: int, b: int, c: int) -> tuple[int, Fraction]:
     return c2, Fraction(twice_c3, 2)
 
 
-@lru_cache(maxsize=None)
-def chern_of(family: ReflexiveFamily) -> ChernData:
-    """Chern data of a family member from the resolution route.
+def presentation_value(family: ReflexiveFamily, t: int) -> int:
+    """chi(F(t)) for a family member F, summed from its presentation.
 
-    For the split family the Hilbert polynomial of the untwisted sheaf is
-    P(t) = (a+b+c+2)*chi(O(t-k)) - a*chi(O(t-k-3)) - b*chi(O(t-k-2))
-           - c*chi(O(t-k-1)),  k = (3a+2b+c)/2.
-    P(0) and P(1) give (c2, c3); P(2) and P(3) must then be the Riemann-Roch
-    values of that data, since four values fix a cubic and a rank-2, c1 = 0
-    sheaf has no other Hilbert polynomial.
-
-    This is the authoritative oracle; the closed forms are audited against
-    it by the transform module (c2 certified, c3 flagged as a note).
+    Split family, from the resolution with k = (3a+2b+c)/2:
+        (a+b+c+2)*chi(O(t-k)) - a*chi(O(t-k-3)) - b*chi(O(t-k-2))
+        - c*chi(O(t-k-1)).
+    Ideal extension 0 -> O -> F -> I_Y -> 0, Y rational of degree m, so
+    chi(O_Y(t)) = m*t + 1:  2*chi(O(t)) - (m*t + 1).
     """
     if isinstance(family, IdealExtension):
-        return ChernData(2, 0, family.m, 4 * family.m - 2)
+        return 2 * chi_o_p3(t) - (family.m * t + 1)
     a, b, c = family.a, family.b, family.c
-    kappa = _validate_exponents(a, b, c)
-    values = [(a + b + c + 2) * chi_o_p3(u) - a * chi_o_p3(u - 3)
-              - b * chi_o_p3(u - 2) - c * chi_o_p3(u - 1)
-              for u in range(-kappa, 4 - kappa)]
+    u = t - family.kappa
+    return ((a + b + c + 2) * chi_o_p3(u) - a * chi_o_p3(u - 3)
+            - b * chi_o_p3(u - 2) - c * chi_o_p3(u - 1))
+
+
+@lru_cache(maxsize=None)
+def chern_of(family: ReflexiveFamily) -> ChernData:
+    """Chern data of a family member, read off its presentation.
+
+    P(0) and P(1) give (c2, c3); P(2) and P(3) must then be the Riemann-Roch
+    values of that data, since four values fix a cubic and a rank-2, c1 = 0
+    sheaf has no other Hilbert polynomial.  For V:m this gives c2 = m and
+    c3 = 4m - 2 (Hartshorne, Stable reflexive sheaves, 1980).
+
+    This is the authoritative oracle; the closed forms of the split family
+    are audited against it by the transform module (c2 certified, c3
+    flagged as a note).
+    """
+    values = [presentation_value(family, t) for t in range(4)]
     chern = chern_from_values(*values[:2])
     if values[2:] != [hp_value(chern, 2), hp_value(chern, 3)]:
         raise ValueError("not a rank-2 c1=0 Hilbert polynomial")

@@ -2,12 +2,9 @@
 
 Euler characteristics of twisted line bundles, and the one owner of the
 exact dictionary between Hilbert polynomials and Chern data in the rank-2,
-c1 = 0 slice, P(t) = 2*chi(O(t)) - c2*(t+2) + c3/2, in two forms:
-
-- value form, used by every Chern number the program reports: `hp_value`
-  evaluates P at an integer, and `chern_from_values` inverts P(0), P(1);
-- binomial form, used by `verify`'s round-trip and Riemann-Roch checks:
-  `hp_from_chern` and `chern_from_hp` map to and from `HilbertPolynomial`.
+c1 = 0 slice, P(t) = 2*chi(O(t)) - c2*(t+2) + c3/2.  A Hilbert polynomial is
+handled through its integer values only: `hp_value` evaluates P at an
+integer, and `chern_from_values` inverts P(0), P(1).
 
 Only that slice is exposed: the curve and rank-1 pieces of the calculus live
 with their own chi formulas in the modules that need them.
@@ -16,8 +13,6 @@ with their own chi formulas in the modules that need them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from .exactpoly import HilbertPolynomial
 
 
 class CertificateError(RuntimeError):
@@ -70,26 +65,3 @@ def chern_from_values(p0: int, p1: int) -> ChernData:
     c3/2: c2 = P(0) - P(1) + 6 and c3 = 2*(P(0) - 2 + 2*c2)."""
     c2 = p0 - p1 + 6
     return ChernData(2, 0, c2, 2 * (p0 - 2 + 2 * c2))
-
-
-def hp_from_chern(c: ChernData) -> HilbertPolynomial:
-    """Hilbert polynomial of a rank-2, c1 = 0 sheaf with invariants c.
-
-    P(t) = 2*chi(O(t)) - c2*(t+2) + c3/2; with t + 2 = C(t+1, 1) + 1 its
-    binomial coordinates are (c3/2 - c2, -c2, 0, 2).
-    """
-    if c.rank != 2 or c.c1 != 0:
-        raise ValueError("only the rank-2, c1 = 0 calculus is supported")
-    return HilbertPolynomial(c.c3 // 2 - c.c2, -c.c2, 0, 2)
-
-
-def chern_from_hp(p: HilbertPolynomial) -> ChernData:
-    """Invert hp_from_chern exactly.
-
-    n3 = 2 and n2 = 0 are pinned by rank 2 and c1 = 0; then c2 = -n1 and
-    c3 = 2*(n0 - n1).
-    """
-    n0, n1, n2, n3 = p.coords
-    if n3 != 2 or n2 != 0:
-        raise ValueError("not a rank-2 c1=0 Hilbert polynomial")
-    return ChernData(2, 0, -n1, 2 * (n0 - n1))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from sheafatlas import atlas
+from sheafatlas import atlas, families
 from sheafatlas.atlas import (
     EnumerationOptions,
     curve_families_of_degree,
@@ -12,13 +12,13 @@ from sheafatlas.atlas import (
     verify_module_invariants,
 )
 from sheafatlas.curvecoh import CompleteIntersection, RationalCurve
-from sheafatlas.exactpoly import HilbertPolynomial
 from sheafatlas.families import (
     IdealExtension,
     SplitResolution,
     chern_of,
     half_c3,
 )
+from sheafatlas.p3rr import ChernData
 from sheafatlas.transform import ComponentDescriptor
 
 
@@ -162,20 +162,47 @@ def test_verify_atlas_k12_notes_mixed_triples_only():
                for n in summary.erratum_notes)
 
 
-@pytest.mark.parametrize("extra", [(1, 0, 0, 0), (0, -1, 0, 0)],
-                         ids=["n0", "n1"])
-def test_sheaf_hilbert_numerical_can_fail(monkeypatch, extra):
-    # One coordinate of every family polynomial off by one: only the
-    # Riemann-Roch comparison sees it, once per family.
-    real = atlas.hp_from_chern
-    monkeypatch.setattr(atlas, "hp_from_chern", lambda c: HilbertPolynomial(
-        *(n + e for n, e in zip(real(c).coords, extra))))
-    checks = {c.name: c for c in verify_atlas(EnumerationOptions(k=4)).checks}
+@pytest.mark.parametrize("last_root", [3, 4], ids=["n0", "n1"])
+def test_sheaf_hilbert_numerical_can_fail(monkeypatch, last_root):
+    # t(t-1)...(t-last_root) added to every presentation vanishes at the
+    # t = 0..3 that chern_of reads, so the Chern data stay the same and only
+    # the comparison at t = 4..7 sees it, once per family. With last_root = 4
+    # the term also vanishes at t = 4, so only t = 5..7 can catch it.
+    real = families.presentation_value
+
+    def shifted(family, t):
+        term = 1
+        for root in range(last_root + 1):
+            term *= t - root
+        return real(family, t) + term
+    for module in (families, atlas):
+        monkeypatch.setattr(module, "presentation_value", shifted)
+    chern_of.cache_clear()
+    try:
+        checks = {c.name: c
+                  for c in verify_atlas(EnumerationOptions(k=4)).checks}
+    finally:
+        chern_of.cache_clear()
     broken = checks.pop("sheaf-hilbert-numerical")
-    assert broken.passed == 0 and broken.failed > 0
+    assert (broken.passed, broken.failed) == (0, 2)  # S:0,0,2 and V:1
     assert all(c.failed == 0 for c in checks.values())
 
 
 def test_module_invariant_suites_pass():
     for check in verify_module_invariants():
         assert check.failed == 0, check
+
+
+def test_chern_round_trip_can_fail(monkeypatch):
+    # c2 of every inversion off by one: only the round trip sees it, since
+    # chern_of reads its data through the families module's own binding.
+    real = atlas.chern_from_values
+
+    def shifted(p0, p1):
+        c = real(p0, p1)
+        return ChernData(2, 0, c.c2 + 1, c.c3)
+    monkeypatch.setattr(atlas, "chern_from_values", shifted)
+    checks = {c.name: c for c in verify_module_invariants()}
+    broken = checks.pop("chern-round-trip")
+    assert (broken.passed, broken.failed) == (0, 16281)
+    assert all(c.failed == 0 for c in checks.values())

@@ -245,6 +245,27 @@ def test_json_peak_memory_is_near_the_table_peak():
     assert json_mb <= table_mb + 10, (json_mb, table_mb)
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="needs an enforced address-space limit")
+def test_out_of_memory_exits_4():
+    # The child may map at most 60 MB, which the c2 = 45 table outgrows;
+    # the limit is set before the interpreter starts, or the child never runs.
+    resource = pytest.importorskip("resource")
+    limit = 60 << 20
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+    src = os.path.dirname(os.path.dirname(sheafatlas.__file__))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "sheafatlas.cli", "enumerate", "--c2", "45",
+         "--format", "table"],
+        env=env, preexec_fn=limit_memory, stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == 4
+    assert proc.stderr == "error: out of memory\n"  # one line, no traceback
+
+
 @pytest.mark.parametrize("argv", [
     ("enumerate", "--c2", "4"),
     ("describe", "--reflexive", "V:1", "--curve", "R:2", "--points", "0"),

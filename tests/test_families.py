@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from powerbasis import coefficient
+from powerbasis import coefficient, hp_from_chern
 from sheafatlas import families
 from sheafatlas.families import (
     ExtProfile,
@@ -19,8 +19,7 @@ from sheafatlas.families import (
     ext_profile,
     half_c3,
 )
-from sheafatlas.exactpoly import HilbertPolynomial
-from sheafatlas.p3rr import ChernData, chi_o_p3, hp_from_chern, hp_value
+from sheafatlas.p3rr import ChernData, chi_o_p3, hp_value
 
 
 def admissible_triples(max_weight):
@@ -132,16 +131,19 @@ def test_c3_parity_and_positivity():
 
 
 def test_hp_of_family_is_the_resolution_polynomial():
-    # The family polynomial is rebuilt from the cached Chern data; for the
-    # split family its values must be those of the resolution sum, and for
-    # the extension family (c2, c3) = (m, 4m - 2) gives (m - 1, -m, 0, 2).
+    # The family polynomial is rebuilt from the cached Chern data; its values
+    # must be those of the presentation: the resolution sum for the split
+    # family, and 2*chi(O(t)) - chi(O_Y(t)) = 2*chi(O(t)) - (mt + 1) for the
+    # extension of I_Y by O, which gives (c2, c3) = (m, 4m - 2).
     for (a, b, c) in admissible_triples(30):
         chern = chern_of(SplitResolution(a, b, c))
         for t in range(-6, 7):
             assert hp_value(chern, t) == resolution_value(a, b, c, t)
     for m in range(1, 21):
-        assert hp_from_chern(chern_of(IdealExtension(m))) == \
-            HilbertPolynomial(m - 1, -m, 0, 2)
+        chern = chern_of(IdealExtension(m))
+        for t in range(-6, 7):
+            assert hp_value(chern, t) == 2 * chi_o_p3(t) - (m * t + 1)
+        assert (chern.c2, chern.c3) == (m, 4 * m - 2)
 
 
 def test_family_hilbert_polynomials_are_numerical():

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 import sheafatlas
+from powerbasis import chern_from_hp, hp_from_chern
 from sheafatlas import atlas, transform
 from sheafatlas.atlas import EnumerationOptions, enumerate_components
 from sheafatlas.curvecoh import CompleteIntersection, RationalCurve, genus
@@ -20,12 +21,7 @@ from sheafatlas.families import (
     chern_of,
     half_c3,
 )
-from sheafatlas.p3rr import (
-    CertificateError,
-    ChernData,
-    chern_from_hp,
-    hp_from_chern,
-)
+from sheafatlas.p3rr import CertificateError, ChernData
 from sheafatlas.transform import (
     CONDITION_IDS,
     ComponentDescriptor,
