@@ -4,7 +4,8 @@ For a target k, every admissible descriptor has c2(R) + deg(C) = k, the
 point count bounded by n = c3(R)/2 (strictly for rational curves), and
 m < deg(C) whenever the reflexive side is an ideal extension.  Enumeration
 walks all of these in a canonical order so that two runs with equal options
-produce identical atlases.
+produce identical atlases.  An `Atlas` is its options and its reports in
+that order; k and the per-kind tally are read off them, not stored.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .transform import (
     max_points,
     reflexive_tag,
     stability_margin,
+    tag_kind,
 )
 
 # Previously published component count of the c2 = 3 moduli space; the
@@ -64,11 +66,10 @@ class EnumerationOptions:
 
 @dataclass(frozen=True)
 class Atlas:
-    k: int
+    """One enumeration: its options and its reports in canonical order."""
+
     options: EnumerationOptions
     reports: tuple[ComponentReport, ...]
-    # counts keyed by (reflexive kind, curve kind), e.g. ("S", "R")
-    summary: tuple[tuple[tuple[str, str], int], ...]
 
 
 @dataclass(frozen=True)
@@ -90,6 +91,15 @@ class VerificationSummary:
         return all(c.failed == 0 for c in self.checks)
 
 
+def _split_triples(weight: int):
+    """Exponent triples (a, b, c) >= 0 with 3a + 2b + c = weight, in
+    lexicographic order."""
+    for a in range(weight // 3 + 1):
+        rest = weight - 3 * a
+        for b in range(rest // 2 + 1):
+            yield a, b, rest - 2 * b
+
+
 def solve_sabc(c2_target: int) -> list[tuple[int, int, int]]:
     """All split-family exponent triples with oracle c2 equal to the target.
 
@@ -103,13 +113,8 @@ def solve_sabc(c2_target: int) -> list[tuple[int, int, int]]:
     found = []
     kappa = 1
     while kappa * kappa + kappa <= c2_target:
-        weight = 2 * kappa
-        for a in range(weight // 3 + 1):
-            rest = weight - 3 * a
-            for b in range(rest // 2 + 1):
-                c = rest - 2 * b
-                if chern_of(SplitResolution(a, b, c)).c2 == c2_target:
-                    found.append((a, b, c))
+        found += [t for t in _split_triples(2 * kappa)
+                  if chern_of(SplitResolution(*t)).c2 == c2_target]
         kappa += 1
     found.sort()
     return found
@@ -130,50 +135,25 @@ def curve_families_of_degree(d: int) -> list[CurveFamily]:
     return out
 
 
-def _reflexive_families(c2: int, curve_degree: int) -> list[ReflexiveFamily]:
-    """Reflexive families with the given c2, split triples first.
-
-    The extension family contributes only when its curve degree m = c2 is
-    strictly below the transform curve's degree; violating choices are
-    skipped, never clamped.
-    """
-    fams: list[ReflexiveFamily] = [
-        SplitResolution(a, b, c) for (a, b, c) in solve_sabc(c2)
-    ]
-    if 1 <= c2 < curve_degree:
-        fams.append(IdealExtension(c2))
-    return fams
-
-
-def _kind(tag: str) -> str:
-    """The family kind of a descriptor tag: "S", "V", "R" or "CI"."""
-    return tag.partition(":")[0]
-
-
 def enumerate_components(opts: EnumerationOptions) -> Atlas:
     """Enumerate every admissible descriptor with c2(E) = k, in canonical
     order: curve degree, curve family (rational first, then d1 ascending),
     split triples lexicographically before the extension family, then s."""
     reports: list[ComponentReport] = []
-    counts: dict[tuple[str, str], int] = {}
     for d in range(opts.min_curve_degree, opts.k):
-        fams = _reflexive_families(opts.k - d, d)
+        c2 = opts.k - d
+        fams: list[ReflexiveFamily] = [
+            SplitResolution(*t) for t in solve_sabc(c2)]
+        # V:m needs m = c2 < deg(C); otherwise it is skipped, never clamped
+        if c2 < d:
+            fams.append(IdealExtension(c2))
         for curve in curve_families_of_degree(d):
             for fam in fams:
-                key = (_kind(reflexive_tag(fam)), _kind(curve_tag(curve)))
                 for s in range(max_points(half_c3(fam), curve) + 1):
-                    report = build_report(
+                    reports.append(build_report(
                         ComponentDescriptor(fam, curve, s),
-                        min_curve_degree=opts.min_curve_degree,
-                    )
-                    reports.append(report)
-                    counts[key] = counts.get(key, 0) + 1
-    return Atlas(
-        k=opts.k,
-        options=opts,
-        reports=tuple(reports),
-        summary=tuple(sorted(counts.items())),
-    )
+                        min_curve_degree=opts.min_curve_degree))
+    return Atlas(opts, tuple(reports))
 
 
 def _check(name: str, pairs) -> CheckResult:
@@ -203,12 +183,12 @@ def verify_atlas(opts: EnumerationOptions) -> VerificationSummary:
 
     def label(r: ComponentReport) -> str:
         d = r.descriptor
-        return "%s/%s/s=%d" % (
-            _kind(reflexive_tag(d.reflexive)), _kind(curve_tag(d.curve)), d.s)
+        return "%s/%s/s=%d" % (tag_kind(reflexive_tag(d.reflexive)),
+                               tag_kind(curve_tag(d.curve)), d.s)
 
     families_seen = sorted(
         {r.descriptor.reflexive for r in atlas.reports},
-        key=lambda f: (_kind(reflexive_tag(f)), repr(f)),
+        key=lambda f: (tag_kind(reflexive_tag(f)), repr(f)),
     )
     by_key = {}
     for r in atlas.reports:
@@ -222,7 +202,7 @@ def verify_atlas(opts: EnumerationOptions) -> VerificationSummary:
                  for lo, hi in zip(group, group[1:])]
     descriptors = [r.descriptor for r in atlas.reports]
     signatures = [
-        ((_kind(reflexive_tag(r.descriptor.reflexive)), r.reflexive_chern),
+        ((tag_kind(reflexive_tag(r.descriptor.reflexive)), r.reflexive_chern),
          r.signature.curve_parts, r.descriptor.s)
         for r in atlas.reports
     ]
@@ -300,11 +280,8 @@ def verify_module_invariants() -> tuple[CheckResult, ...]:
     relation, the Riemann-Roch/Koszul agreement on curves, the Chern
     round trip, and the closed-form audits over the documented ranges.
     """
-    cis = [
-        CompleteIntersection(d1, d2)
-        for d1 in range(1, 5) for d2 in range(d1, 17)
-        if d1 * d2 <= 16 and (d1, d2) not in curvecoh.EXCLUDED_CI
-    ]
+    universe = [c for d in range(1, 17) for c in curve_families_of_degree(d)]
+    cis = [c for c in universe if isinstance(c, CompleteIntersection)]
     duality = []
     for ci in cis:
         e = curvecoh.canonical_twist(ci)
@@ -315,8 +292,7 @@ def verify_module_invariants() -> tuple[CheckResult, ...]:
                 "%r a=%d" % (ci, a),
             ))
 
-    curves: list[CurveFamily] = [RationalCurve(d) for d in range(1, 13)]
-    curves += [ci for ci in cis if ci.degree <= 12]
+    curves = [c for c in universe if c.degree <= 12]
     chi_pairs = []
     koszul = []
     for curve in curves:
@@ -338,15 +314,8 @@ def verify_module_invariants() -> tuple[CheckResult, ...]:
                     "%r a=%d" % (curve, a),
                 ))
 
-    triples = [
-        (a, b, c)
-        for w in range(2, 31, 2)
-        for a in range(w // 3 + 1)
-        for b in range((w - 3 * a) // 2 + 1)
-        for c in [w - 3 * a - 2 * b]
-    ]
-    fams: list[ReflexiveFamily] = [SplitResolution(a, b, c)
-                                   for (a, b, c) in triples]
+    triples = [t for w in range(2, 31, 2) for t in _split_triples(w)]
+    fams: list[ReflexiveFamily] = [SplitResolution(*t) for t in triples]
     fams += [IdealExtension(m) for m in range(1, 21)]
 
     return (

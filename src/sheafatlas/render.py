@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections import Counter
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _str
 
@@ -31,6 +32,7 @@ from .transform import (
     curve_tag,
     dedup_notes,
     reflexive_tag,
+    tag_kind,
 )
 
 SCHEMA_VERSION = "1"
@@ -159,7 +161,7 @@ def _report_writer(pad: str):
 def atlas_json(atlas: Atlas) -> str:
     header = json.dumps({
         "schema_version": SCHEMA_VERSION,
-        "k": atlas.k,
+        "k": atlas.options.k,
         "options": {
             "min_curve_degree": atlas.options.min_curve_degree,
             # Flagged families are always listed; schema 1 keeps the key.
@@ -234,9 +236,11 @@ def _table(rows: list[list[str]]) -> str:
 def atlas_table(atlas: Atlas) -> str:
     rows = [[str(c) for c in _csv_row(r)] for r in atlas.reports]
     text = _table(rows)
-    text += "\n%d component(s) for c2 = %d\n" % (len(atlas.reports), atlas.k)
-    for (fam_tag, curve_kind), count in atlas.summary:
-        text += "  %s over %s: %d\n" % (fam_tag, curve_kind, count)
+    text += "\n%d component(s) for c2 = %d\n" % (len(rows), atlas.options.k)
+    # the tally by (reflexive kind, curve kind), read off the tag cells
+    kinds = Counter((tag_kind(r[1]), tag_kind(r[2])) for r in rows)
+    for (fam_kind, curve_kind), count in sorted(kinds.items()):
+        text += "  %s over %s: %d\n" % (fam_kind, curve_kind, count)
     if any(r.descriptor == M3_DESCRIPTOR for r in atlas.reports):
         text += (
             "previously published components of this moduli space: %d; "

@@ -106,6 +106,11 @@ def curve_tag(curve: CurveFamily) -> str:
     return "CI:%d,%d" % (curve.d1, curve.d2)
 
 
+def tag_kind(tag: str) -> str:
+    """The family kind of a descriptor tag: "S", "V", "R" or "CI"."""
+    return tag.partition(":")[0]
+
+
 def canonical_int(text: str) -> int:
     """int(text) if it prints back as text: "-5", but not "05", "+5" or " 5"."""
     if str(int(text)) != text:

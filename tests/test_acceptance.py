@@ -215,7 +215,7 @@ def test_criterion_09_degree_identity(atlases):
 def test_criterion_10_completeness_and_determinism(atlases):
     for atlas in atlases:
         enumerated = {r.descriptor for r in atlas.reports}
-        assert enumerated == brute_force_descriptors(atlas.k)
+        assert enumerated == brute_force_descriptors(atlas.options.k)
     # byte-identical serialization across repeated runs
     for k in (3, 7, 12):
         opts = EnumerationOptions(k=k)

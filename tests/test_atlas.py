@@ -2,7 +2,7 @@
 
 import pytest
 
-from sheafatlas import atlas, families
+from sheafatlas import atlas, families, render
 from sheafatlas.atlas import (
     EnumerationOptions,
     curve_families_of_degree,
@@ -42,6 +42,12 @@ def test_solve_sabc_against_box_scan():
                     if chern_of(SplitResolution(a, b, c)).c2 == target:
                         box.add((a, b, c))
         assert box == set(solve_sabc(target))
+    # solve_sabc and the module suites share one walk of 3a + 2b + c = w;
+    # it must give every triple of each weight the suites cover, in order
+    for w in range(2, 31, 2):
+        box = [(a, b, c) for a in range(w + 1) for b in range(w + 1)
+               for c in range(w + 1) if 3 * a + 2 * b + c == w]
+        assert list(atlas._split_triples(w)) == box
 
 
 def test_curve_families_of_degree():
@@ -74,7 +80,9 @@ def test_enumerate_k4():
         ComponentDescriptor(IdealExtension(1), CompleteIntersection(1, 3), 1),
     ]
     assert [r.descriptor for r in atlas.reports] == expected
-    assert dict(atlas.summary) == {("S", "R"): 2, ("V", "R"): 1, ("V", "CI"): 2}
+    assert render.atlas_table(atlas).endswith(
+        "\n5 component(s) for c2 = 4\n"
+        "  S over R: 2\n  V over CI: 2\n  V over R: 1\n")
 
 
 def test_enumerate_k3_high_floor_is_empty():

@@ -1,11 +1,13 @@
 """The descriptor codec: every tag round-trips, malformed tags are refused."""
 
+import itertools
 import re
 from collections import Counter
 
 import pytest
 
 from sheafatlas.atlas import EnumerationOptions, enumerate_components
+from sheafatlas.render import atlas_table
 from sheafatlas.transform import (
     curve_tag,
     parse_curve,
@@ -16,14 +18,20 @@ from sheafatlas.transform import (
 
 def test_every_enumerated_family_round_trips():
     reflexives, curves = set(), set()
-    for k in range(3, 13):
-        atlas = enumerate_components(EnumerationOptions(k=k, min_curve_degree=1))
+    for k, floor in itertools.product(range(3, 13), (1, 2, 3)):
+        atlas = enumerate_components(EnumerationOptions(k, floor))
         kinds = Counter(
             (reflexive_tag(r.descriptor.reflexive).partition(":")[0],
              curve_tag(r.descriptor.curve).partition(":")[0])
             for r in atlas.reports
         )
-        assert dict(atlas.summary) == dict(kinds)
+        # the table's footer: the count, then one line per kind pair
+        _, count, footer = atlas_table(atlas).partition(
+            "\n%d component(s) for c2 = %d\n" % (len(atlas.reports), k))
+        assert count, (k, floor)
+        assert [line for line in footer.splitlines() if " over " in line] == [
+            "  %s over %s: %d" % (fam, curve, n)
+            for (fam, curve), n in sorted(kinds.items())], (k, floor)
         reflexives |= {r.descriptor.reflexive for r in atlas.reports}
         curves |= {r.descriptor.curve for r in atlas.reports}
     kinds_seen = {reflexive_tag(f).partition(":")[0] for f in reflexives}

@@ -88,7 +88,7 @@ def report_oracle(report):
 def atlas_oracle(atlas):
     return {
         "schema_version": SCHEMA_VERSION,
-        "k": atlas.k,
+        "k": atlas.options.k,
         "options": {
             "min_curve_degree": atlas.options.min_curve_degree,
             "include_erratum_families": True,

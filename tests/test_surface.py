@@ -58,6 +58,25 @@ def test_no_dead_private_helpers(path):
     assert dead_private_helpers(path.read_text(encoding="utf-8")) == []
 
 
+def assert_lines(source: str) -> list[int]:
+    """Line numbers of `assert` statements anywhere in the source."""
+    return sorted(n.lineno for n in ast.walk(ast.parse(source))
+                  if isinstance(n, ast.Assert))
+
+
+def test_the_guard_sees_asserts():
+    source = ("def f(x):\n    assert x > 0\n    return x\n"
+              "class C:\n    def g(self):\n        assert self, 'no'\n")
+    assert assert_lines(source) == [2, 6]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.stem)
+def test_no_assert_in_package(path):
+    # python -O strips assert, so certificates raise CertificateError instead
+    assert assert_lines(path.read_text(encoding="utf-8")) == []
+
+
 def test_every_exported_name_resolves():
     assert [n for n in sheafatlas.__all__ if not hasattr(sheafatlas, n)] == []
 

