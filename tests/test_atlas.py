@@ -19,7 +19,11 @@ from sheafatlas.families import (
     half_c3,
 )
 from sheafatlas.p3rr import ChernData
-from sheafatlas.transform import ComponentDescriptor
+from sheafatlas.transform import (
+    ComponentDescriptor,
+    curve_tag,
+    reflexive_tag,
+)
 
 
 def test_solve_sabc_examples():
@@ -192,8 +196,64 @@ def test_sheaf_hilbert_numerical_can_fail(monkeypatch, last_root):
     finally:
         chern_of.cache_clear()
     broken = checks.pop("sheaf-hilbert-numerical")
-    assert (broken.passed, broken.failed) == (0, 2)  # S:0,0,2 and V:1
+    assert (broken.passed, broken.failed) == (0, 2)
+    assert broken.failures == ("S:0,0,2", "V:1")
     assert all(c.failed == 0 for c in checks.values())
+
+
+def test_empty_atlas_check_counts():
+    # no report: the per-report and per-family checks have no case, three
+    # checks report one vacuous pass, and the whole-atlas checks one case
+    summary = verify_atlas(EnumerationOptions(5, min_curve_degree=5))
+    assert summary.ok
+    assert [(c.name, c.passed, c.failed) for c in summary.checks] == [
+        ("c2-additivity", 0, 0),
+        ("transformed-chern", 0, 0),
+        ("two-route-section-count", 0, 0),
+        ("tangent-equals-component", 0, 0),
+        ("twist-degree-identity", 0, 0),
+        ("euler-pairing", 0, 0),
+        ("c3-parity", 0, 0),
+        ("closed-form-c2", 1, 0),
+        ("sheaf-hilbert-numerical", 0, 0),
+        ("stability-margin-positive", 1, 0),
+        ("dimension-monotone-in-s", 1, 0),
+        ("descriptor-uniqueness", 1, 0),
+        ("signature-distinctness", 1, 0),
+        ("rerun-determinism", 1, 0),
+    ]
+
+
+def test_passing_cases_get_no_label(monkeypatch):
+    calls = []
+    real = atlas.curve_tag
+
+    def counted(curve):
+        calls.append(curve)
+        return real(curve)
+    monkeypatch.setattr(atlas, "curve_tag", counted)
+    assert verify_atlas(EnumerationOptions(12)).ok
+    assert calls == []
+
+
+def test_two_route_section_count_can_fail(monkeypatch):
+    # the report's own field is computed through transform's binding, so
+    # only the check's second route sees the change
+    monkeypatch.setattr(atlas, "chi_hom_fl", lambda d, chi: 2 * chi + 1)
+    summary = verify_atlas(EnumerationOptions(k=6))
+    checks = {c.name: c for c in summary.checks}
+    broken = checks.pop("two-route-section-count")
+    reports = enumerate_components(EnumerationOptions(k=6)).reports
+    assert len(reports) > 10
+    assert (broken.passed, broken.failed) == (0, len(reports))
+    assert broken.failures == tuple(
+        "%s %s s=%d" % (reflexive_tag(r.descriptor.reflexive),
+                        curve_tag(r.descriptor.curve), r.descriptor.s)
+        for r in reports[:10])
+    assert all(c.failed == 0 for c in checks.values())
+    text = render.verification_text([summary], ())
+    assert "    FAIL two-route-section-count: %s (and %d more)\n" % (
+        "; ".join(broken.failures), len(reports) - 10) in text
 
 
 def test_module_invariant_suites_pass():
