@@ -10,7 +10,7 @@ that order; k and the per-kind tally are read off them, not stored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .curvecoh import CompleteIntersection, CurveFamily, RationalCurve, genus
 from .families import (
@@ -28,7 +28,6 @@ from . import curvecoh, transform
 from .transform import (
     ComponentDescriptor,
     ComponentReport,
-    ErratumNote,
     build_report,
     chi_hom_fl,
     curve_tag,
@@ -44,8 +43,8 @@ from .transform import (
 PUBLISHED_M3_PRIOR_COMPONENTS = 10
 
 
-@dataclass(frozen=True)
-class EnumerationOptions:
+class EnumerationOptions(namedtuple("EnumerationOptions",
+                                     "k min_curve_degree")):
     """Options for one enumeration run.
 
     The curve-degree floor defaults to 2: degree-1 curves reproduce
@@ -54,36 +53,30 @@ class EnumerationOptions:
     resolution route are always listed, with notes.
     """
 
-    k: int
-    min_curve_degree: int = transform.DEFAULT_MIN_CURVE_DEGREE
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.k < 3:
+    def __new__(cls, k: int,
+                min_curve_degree: int = transform.DEFAULT_MIN_CURVE_DEGREE):
+        if k < 3:
             raise ValueError("the component series starts at c2 = 3")
-        transform.check_curve_degree_floor(self.min_curve_degree)
+        transform.check_curve_degree_floor(min_curve_degree)
+        return tuple.__new__(cls, (k, min_curve_degree))
 
 
-@dataclass(frozen=True)
-class Atlas:
+class Atlas(namedtuple("Atlas", "options reports")):
     """One enumeration: its options and its reports in canonical order."""
 
-    options: EnumerationOptions
-    reports: tuple[ComponentReport, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: int
-    failed: int
-    failures: tuple[str, ...] = ()
+class CheckResult(namedtuple("CheckResult", "name passed failed failures",
+                             defaults=((),))):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class VerificationSummary:
-    k: int
-    checks: tuple[CheckResult, ...]
-    erratum_notes: tuple[ErratumNote, ...]
+class VerificationSummary(namedtuple("VerificationSummary",
+                                     "k checks erratum_notes")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -10,7 +10,7 @@ Koszul resolution of the ideal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .p3rr import CertificateError, h0_o_p3
 
@@ -19,38 +19,37 @@ from .p3rr import CertificateError, h0_o_p3
 EXCLUDED_CI = frozenset({(1, 1), (1, 2)})
 
 
-@dataclass(frozen=True)
-class RationalCurve:
+class RationalCurve(namedtuple("RationalCurve", "d")):
     """Smooth irreducible rational curve of degree d in P^3."""
 
-    d: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.d < 1:
+    def __new__(cls, d: int):
+        if d < 1:
             raise ValueError("degree must be positive")
+        return tuple.__new__(cls, (d,))
 
     @property
     def degree(self) -> int:
         return self.d
 
 
-@dataclass(frozen=True)
-class CompleteIntersection:
+class CompleteIntersection(namedtuple("CompleteIntersection", "d1 d2")):
     """Smooth complete intersection of surfaces of degrees d1 <= d2."""
 
-    d1: int
-    d2: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.d1 < 1 or self.d2 < 1:
+    def __new__(cls, d1: int, d2: int):
+        if d1 < 1 or d2 < 1:
             raise ValueError("surface degrees must be positive")
-        if self.d1 > self.d2:
+        if d1 > d2:
             raise ValueError("require d1 <= d2")
-        if (self.d1, self.d2) in EXCLUDED_CI:
+        if (d1, d2) in EXCLUDED_CI:
             raise ValueError(
                 "(%d, %d) is rational and excluded from the complete-"
-                "intersection family" % (self.d1, self.d2)
+                "intersection family" % (d1, d2)
             )
+        return tuple.__new__(cls, (d1, d2))
 
     @property
     def degree(self) -> int:
@@ -60,10 +59,8 @@ class CompleteIntersection:
 CurveFamily = RationalCurve | CompleteIntersection
 
 
-@dataclass(frozen=True)
-class CurveCohomology:
-    h0: int
-    h1: int
+class CurveCohomology(namedtuple("CurveCohomology", "h0 h1")):
+    __slots__ = ()
 
 
 def genus(curve: CurveFamily) -> int:

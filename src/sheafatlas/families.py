@@ -18,7 +18,7 @@ as an exact rational and audited, never trusted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -35,45 +35,39 @@ def _validate_exponents(a: int, b: int, c: int) -> int:
     return w // 2
 
 
-@dataclass(frozen=True)
-class SplitResolution:
+class SplitResolution(namedtuple("SplitResolution", "a b c")):
     """Stable reflexive sheaves resolved by split bundles; trivial PAut."""
 
-    a: int
-    b: int
-    c: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        _validate_exponents(self.a, self.b, self.c)
+    def __new__(cls, a: int, b: int, c: int):
+        _validate_exponents(a, b, c)
+        return tuple.__new__(cls, (a, b, c))
 
     @property
     def kappa(self) -> int:
         return (3 * self.a + 2 * self.b + self.c) // 2
 
 
-@dataclass(frozen=True)
-class IdealExtension:
+class IdealExtension(namedtuple("IdealExtension", "m")):
     """Properly mu-semistable extensions 0 -> O -> F -> I_Y -> 0 with Y a
     smooth rational curve of degree m; PAut is one-dimensional."""
 
-    m: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.m < 1:
+    def __new__(cls, m: int):
+        if m < 1:
             raise ValueError("curve degree m must be positive")
+        return tuple.__new__(cls, (m,))
 
 
 ReflexiveFamily = SplitResolution | IdealExtension
 
 
-@dataclass(frozen=True)
-class ExtProfile:
+class ExtProfile(namedtuple("ExtProfile", "hom ext1 ext2 ext3")):
     """Dimensions of Ext^i(F, F) for a general member of the family."""
 
-    hom: int
-    ext1: int
-    ext2: int
-    ext3: int
+    __slots__ = ()
 
     @property
     def euler_sum(self) -> int:

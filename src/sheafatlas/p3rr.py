@@ -12,7 +12,7 @@ with their own chi formulas in the modules that need them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
 class CertificateError(RuntimeError):
@@ -20,26 +20,23 @@ class CertificateError(RuntimeError):
     ValueError, so input validation never swallows a broken certificate."""
 
 
-@dataclass(frozen=True)
-class ChernData:
+class ChernData(namedtuple("ChernData", "rank c1 c2 c3")):
     """Chern classes (rank, c1, c2, c3) of a sheaf on P^3.
 
     A rank-2 sheaf with c1 = 0 always has even c3; odd parity certifies a
     typo or a bug, so it is rejected at construction.
     """
 
-    rank: int
-    c1: int
-    c2: int
-    c3: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.rank < 0:
+    def __new__(cls, rank: int, c1: int, c2: int, c3: int):
+        if rank < 0:
             raise ValueError("rank must be nonnegative")
-        if self.rank == 2 and self.c1 == 0 and self.c3 % 2 != 0:
+        if rank == 2 and c1 == 0 and c3 % 2 != 0:
             raise ValueError(
                 "odd c3: a rank-2 sheaf with c1 = 0 on P^3 has even c3"
             )
+        return tuple.__new__(cls, (rank, c1, c2, c3))
 
 
 def chi_o_p3(j: int) -> int:

@@ -46,8 +46,12 @@ CSV_HEADER = (
 def _json_value(value):
     if isinstance(value, Fraction):
         return {"num": value.numerator, "den": value.denominator}
-    if isinstance(value, tuple):
+    if type(value) is tuple:
         return [_json_value(v) for v in value]
+    if isinstance(value, tuple):
+        # json.dumps would write a value type as a bare list
+        raise TypeError("Object of type %s is not JSON serializable"
+                        % type(value).__name__)
     return value
 
 

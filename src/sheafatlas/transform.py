@@ -21,7 +21,7 @@ calls `chi_hom_fl` and `stability_margin`; `describe` calls
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .curvecoh import (
@@ -78,17 +78,16 @@ class InadmissibleDescriptor(ValueError):
     """Raised when a descriptor violates a hard numeric constraint."""
 
 
-@dataclass(frozen=True)
-class ComponentDescriptor:
+class ComponentDescriptor(namedtuple("ComponentDescriptor",
+                                      "reflexive curve s")):
     """The datum of one elementary transformation: (R, H1, s)."""
 
-    reflexive: ReflexiveFamily
-    curve: CurveFamily
-    s: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.s < 0:
+    def __new__(cls, reflexive: ReflexiveFamily, curve: CurveFamily, s: int):
+        if s < 0:
             raise ValueError("number of points must be nonnegative")
+        return tuple.__new__(cls, (reflexive, curve, s))
 
 
 M3_DESCRIPTOR = ComponentDescriptor(IdealExtension(1), RationalCurve(2), 0)
@@ -144,11 +143,9 @@ def parse_curve(text: str) -> CurveFamily:
                                       "CI": (CompleteIntersection, 2)})
 
 
-@dataclass(frozen=True)
-class ConditionVerdict:
-    condition: str
-    status: ConditionStatus
-    note: str
+class ConditionVerdict(namedtuple("ConditionVerdict",
+                                   "condition status note")):
+    __slots__ = ()
 
 
 # Ledger entries fixed by the reflexive family kind, shared by every
@@ -186,23 +183,22 @@ _FAMILY_VERDICTS = {
 }
 
 
-@dataclass(frozen=True)
-class SingularitySignature:
-    """Decomposition of Sing(E): the curve, the points of W, and the
-    singular points inherited from the reflexive hull (weight c3(R))."""
+class SingularitySignature(namedtuple(
+        "SingularitySignature",
+        "curve_parts isolated_points_from_w reflexive_sing_c3")):
+    """Decomposition of Sing(E): the curve parts (deg C, g), the points of
+    W, and the singular points inherited from the reflexive hull (weight
+    c3(R))."""
 
-    curve_parts: tuple[tuple[int, int], ...]
-    isolated_points_from_w: int
-    reflexive_sing_c3: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ErratumNote:
-    """A flagged disagreement or literature record attached to a report."""
+class ErratumNote(namedtuple("ErratumNote", "code message values",
+                              defaults=((),))):
+    """A flagged disagreement or literature record attached to a report;
+    values is a tuple of (key, value) pairs."""
 
-    code: str
-    message: str
-    values: tuple[tuple[str, object], ...] = ()
+    __slots__ = ()
 
     def value(self, key: str):
         for k, v in self.values:
@@ -219,23 +215,14 @@ def dedup_notes(notes) -> tuple[ErratumNote, ...]:
     return tuple(first.values())
 
 
-@dataclass(frozen=True)
-class ComponentReport:
-    descriptor: ComponentDescriptor
-    k: int
-    chern_e: ChernData
-    deg_l: int
-    chi_l: int
-    chi_hom_fl: int
-    hom_orbit_dim: int
-    dim_component: int
-    dim_tangent: int
-    verdicts: tuple[ConditionVerdict, ...]
-    signature: SingularitySignature
-    erratum_notes: tuple[ErratumNote, ...]
-    reflexive_chern: ChernData
-    reflexive_chern_closed: tuple[int, Fraction] | None
-    normal_bundle_h1: int
+class ComponentReport(namedtuple("ComponentReport", (
+        "descriptor k chern_e deg_l chi_l chi_hom_fl hom_orbit_dim "
+        "dim_component dim_tangent verdicts signature erratum_notes "
+        "reflexive_chern reflexive_chern_closed normal_bundle_h1"))):
+    """Everything assemble_report derives for one descriptor; the closed
+    form is (c2, c3) with c3 a Fraction, or None for the extension family."""
+
+    __slots__ = ()
 
 
 def chi_l(d: ComponentDescriptor) -> int:

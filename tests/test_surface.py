@@ -3,6 +3,7 @@ unresolvable exports) and against imports from outside the standard
 library."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -75,6 +76,36 @@ def test_the_guard_sees_asserts():
 def test_no_assert_in_package(path):
     # python -O strips assert, so certificates raise CertificateError instead
     assert assert_lines(path.read_text(encoding="utf-8")) == []
+
+
+def value_rebuilds(source: str) -> list[int]:
+    """Line numbers of `._replace` and `._make` anywhere in the source: both
+    build a named tuple without its __new__, so they skip validation."""
+    return sorted(n.lineno for n in ast.walk(ast.parse(source))
+                  if isinstance(n, ast.Attribute)
+                  and n.attr in ("_replace", "_make"))
+
+
+def test_the_guard_sees_value_rebuilds():
+    source = ("x = opts._replace(k=2)\ny = ChernData._make(row)\n"
+              "z = text.replace('a', 'b')\n")
+    assert value_rebuilds(source) == [1, 2]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.stem)
+def test_no_value_rebuilds_in_package(path):
+    assert value_rebuilds(path.read_text(encoding="utf-8")) == []
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    # each command is a fresh process, so start-up is paid on every call
+    script = ("import sys; sys.path.insert(0, %r); import sheafatlas.cli; "
+              "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+              % str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-S", "-c", script],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
 
 
 def test_every_exported_name_resolves():

@@ -1,6 +1,5 @@
 """Elementary-transformation bookkeeping and the tangent-space cross-check."""
 
-import dataclasses
 import os
 import subprocess
 import sys
@@ -16,6 +15,7 @@ from sheafatlas.atlas import EnumerationOptions, enumerate_components
 from sheafatlas.curvecoh import CompleteIntersection, RationalCurve, genus
 from sheafatlas.exactpoly import HilbertPolynomial
 from sheafatlas.families import (
+    ExtProfile,
     IdealExtension,
     SplitResolution,
     chern_of,
@@ -309,11 +309,15 @@ def test_certificates_survive_python_O():
     # `python -O` strips assert statements; a broken assembly must still
     # be refused, and not as a ValueError the CLI fallback would swallow.
     script = textwrap.dedent("""
-        import dataclasses, sys
+        import sys
         from sheafatlas import transform
+        from sheafatlas.families import ExtProfile
         real = transform.ext_profile
-        transform.ext_profile = lambda f: dataclasses.replace(
-            real(f), ext1=real(f).ext1 + 1)
+
+        def broken(f):
+            p = real(f)
+            return ExtProfile(p.hom, p.ext1 + 1, p.ext2, p.ext3)
+        transform.ext_profile = broken
         try:
             transform.build_report(transform.M3_DESCRIPTOR)
         except Exception as exc:
@@ -366,8 +370,11 @@ def _paut_off_by_one(monkeypatch):
 def _ext_hom_off_by_one(monkeypatch):
     # read by the tangent route only
     real = transform.ext_profile
-    monkeypatch.setattr(transform, "ext_profile", lambda f: dataclasses.replace(
-        real(f), hom=real(f).hom + 1))
+
+    def broken(f):
+        p = real(f)
+        return ExtProfile(p.hom + 1, p.ext1, p.ext2, p.ext3)
+    monkeypatch.setattr(transform, "ext_profile", broken)
 
 
 @pytest.mark.parametrize("breakage, descriptor, message", [
