@@ -16,6 +16,7 @@ from .atlas import (
     VerificationSummary,
     curve_families_of_degree,
     enumerate_components,
+    iter_components,
     solve_sabc,
     verify_atlas,
 )
@@ -61,6 +62,7 @@ __all__ = [
     "curve_families_of_degree",
     "enumerate_components",
     "h0_o_p3",
+    "iter_components",
     "solve_sabc",
     "verify_atlas",
 ]

@@ -11,6 +11,7 @@ that order; k and the per-kind tally are read off them, not stored.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterator
 
 from .curvecoh import CompleteIntersection, CurveFamily, RationalCurve, genus
 from .families import (
@@ -127,11 +128,11 @@ def curve_families_of_degree(d: int) -> list[CurveFamily]:
     return out
 
 
-def enumerate_components(opts: EnumerationOptions) -> Atlas:
-    """Enumerate every admissible descriptor with c2(E) = k, in canonical
-    order: curve degree, curve family (rational first, then d1 ascending),
-    split triples lexicographically before the extension family, then s."""
-    reports: list[ComponentReport] = []
+def iter_components(opts: EnumerationOptions) -> Iterator[ComponentReport]:
+    """Yield the report of every admissible descriptor with c2(E) = k, built
+    one at a time, in canonical order: curve degree, curve family (rational
+    first, then d1 ascending), split triples lexicographically before the
+    extension family, then s."""
     for d in range(opts.min_curve_degree, opts.k):
         c2 = opts.k - d
         fams: list[ReflexiveFamily] = [
@@ -142,10 +143,14 @@ def enumerate_components(opts: EnumerationOptions) -> Atlas:
         for curve in curve_families_of_degree(d):
             for fam in fams:
                 for s in range(max_points(half_c3(fam), curve) + 1):
-                    reports.append(build_report(
+                    yield build_report(
                         ComponentDescriptor(fam, curve, s),
-                        min_curve_degree=opts.min_curve_degree))
-    return Atlas(opts, tuple(reports))
+                        min_curve_degree=opts.min_curve_degree)
+
+
+def enumerate_components(opts: EnumerationOptions) -> Atlas:
+    """The whole atlas of iter_components(opts), held in memory."""
+    return Atlas(opts, tuple(iter_components(opts)))
 
 
 def _check(name: str, cases, holds, label) -> CheckResult:

@@ -10,6 +10,12 @@ when the run exhausts memory, and 130 when interrupted with Ctrl-C (each of
 the last two with one line on stderr and no traceback).
 Output is deterministic; no environment variables or randomness are
 consulted.
+
+`enumerate` writes each report as the walk builds it, to stdout or to the
+--output file, which is opened before the walk starts.  So a run that ends
+with exit 2 (a failed write), 4 or 130 part-way through may leave a prefix
+of the output, on stdout or in the file.  `describe` and `verify` compute
+their whole output before writing any of it.
 """
 
 from __future__ import annotations
@@ -64,24 +70,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, path: str | None, code: int) -> int:
-    """Write the output; returns `code`, or USAGE_ERROR if writing fails."""
+def _emit(write, path: str | None, code: int) -> int:
+    """Call write(stream) on stdout, or on the file at `path`, opened
+    first; returns `code`, or USAGE_ERROR if opening or writing fails."""
     try:
         if path is None:
-            sys.stdout.write(text)
+            write(sys.stdout)
             sys.stdout.flush()
         else:
             with open(path, "w", encoding="utf-8") as handle:
-                handle.write(text)
+                write(handle)
     except OSError as exc:
         print("error: cannot write output: %s" % exc, file=sys.stderr)
         return USAGE_ERROR
     return code
-
-
-def _render(kind: str, value, fmt: str) -> str:
-    """render.<kind>_<fmt>(value), e.g. render.atlas_json(atlas)."""
-    return getattr(render, "%s_%s" % (kind, fmt))(value)
 
 
 def _run_enumerate(args) -> int:
@@ -91,8 +93,15 @@ def _run_enumerate(args) -> int:
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return USAGE_ERROR
-    result = atlas_mod.enumerate_components(opts)
-    return _emit(_render("atlas", result, args.format), args.output, 0)
+    return _emit(lambda out: render.write_atlas(
+        opts, atlas_mod.iter_components(opts), args.format, out),
+        args.output, 0)
+
+
+def _emit_report(report, args, code: int) -> int:
+    """Write render.report_<format>(report), e.g. render.report_json(report)."""
+    text = getattr(render, "report_" + args.format)(report)
+    return _emit(lambda out: out.write(text), args.output, code)
 
 
 def _run_describe(args) -> int:
@@ -116,11 +125,10 @@ def _run_describe(args) -> int:
             for v in transform.check_conditions(descriptor):
                 print(render.verdict_line(v), file=sys.stderr)
             return INADMISSIBLE
-        code = _emit(_render("report", report, args.format), args.output,
-                     INADMISSIBLE)
+        code = _emit_report(report, args, INADMISSIBLE)
         print("inadmissible: %s" % exc, file=sys.stderr)
         return code
-    return _emit(_render("report", report, args.format), args.output, 0)
+    return _emit_report(report, args, 0)
 
 
 def _run_verify(args) -> int:
@@ -136,7 +144,7 @@ def _run_verify(args) -> int:
     ok = all(s.ok for s in summaries) and all(
         c.failed == 0 for c in module_checks)
     text += "overall: %s\n" % ("PASS" if ok else "FAIL")
-    return _emit(text, args.output, 0 if ok else 1)
+    return _emit(lambda out: out.write(text), args.output, 0 if ok else 1)
 
 
 def main(argv=None) -> int:

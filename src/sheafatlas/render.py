@@ -12,6 +12,11 @@ spelled out in sorted order.  Its bytes are those json.dumps(indent=2,
 sort_keys=True) gives for the same tree, without building the tree: only
 erratum notes, whose values vary in shape, go through json.dumps, as does
 the atlas header, once.
+
+An atlas is written by `write_atlas` to a text stream as a report iterator
+yields its reports, so `enumerate` never holds the whole atlas or its text.
+`atlas_json`, `atlas_csv` and `atlas_table` return the same bytes as one
+`str` for an `Atlas` already in memory.
 """
 
 from __future__ import annotations
@@ -20,10 +25,16 @@ import csv
 import io
 import json
 from collections import Counter
+from collections.abc import Iterable
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _str
 
-from .atlas import Atlas, VerificationSummary, PUBLISHED_M3_PRIOR_COMPONENTS
+from .atlas import (
+    PUBLISHED_M3_PRIOR_COMPONENTS,
+    Atlas,
+    EnumerationOptions,
+    VerificationSummary,
+)
 from .transform import (
     M3_DESCRIPTOR,
     ComponentReport,
@@ -162,28 +173,53 @@ def _report_writer(pad: str):
     return write
 
 
-def atlas_json(atlas: Atlas) -> str:
+def write_atlas(options: EnumerationOptions,
+                reports: Iterable[ComponentReport], fmt: str, out) -> None:
+    """Write the atlas of `options` in `fmt` ("json", "csv" or "table") to
+    the text stream `out`, as `reports` yields its reports in canonical
+    order.  JSON and CSV write each report as it arrives and keep none.  The
+    table needs its column widths before its first line, so it keeps the
+    cells of every row until the walk ends (never the reports themselves);
+    its memory still grows with the row count."""
+    if fmt == "json":
+        _write_json(options, reports, out)
+    elif fmt == "csv":
+        _write_csv(reports, out)
+    elif fmt == "table":
+        _write_table(options.k, reports, out)
+    else:
+        raise ValueError("unknown format %r" % (fmt,))
+
+
+def _write_json(options: EnumerationOptions, reports, out) -> None:
     header = json.dumps({
         "schema_version": SCHEMA_VERSION,
-        "k": atlas.options.k,
+        "k": options.k,
         "options": {
-            "min_curve_degree": atlas.options.min_curve_degree,
+            "min_curve_degree": options.min_curve_degree,
             # Flagged families are always listed; schema 1 keeps the key.
             "include_erratum_families": True,
         },
         "reports": [],
     }, indent=2, sort_keys=True)
-    if not atlas.reports:
-        return header + "\n"
-    before, _, after = header.partition('"reports": []')
+    before, close, after = header.partition('"reports": []')
     write = _report_writer("    ")
-    parts = [before]
+    out.write(before)
     sep = '"reports": [\n    '
-    for r in atlas.reports:
-        parts += (sep, write(r))
-        sep = ",\n    "
-    parts += ("\n  ]", after, "\n")
-    return "".join(parts)
+    for r in reports:
+        out.write(sep + write(r))
+        sep, close = ",\n    ", "\n  ]"
+    out.write(close + after + "\n")
+
+
+def _atlas_text(atlas: Atlas, fmt: str) -> str:
+    out = io.StringIO()
+    write_atlas(atlas.options, atlas.reports, fmt, out)
+    return out.getvalue()
+
+
+def atlas_json(atlas: Atlas) -> str:
+    return _atlas_text(atlas, "json")
 
 
 def report_json(report: ComponentReport) -> str:
@@ -209,49 +245,46 @@ def _csv_row(report: ComponentReport) -> list:
     ]
 
 
-def _csv_text(rows: list[list]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
+def _write_csv(reports, out) -> None:
+    writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    writer.writerows(rows)
-    return buffer.getvalue()
+    writer.writerows(map(_csv_row, reports))
 
 
 def atlas_csv(atlas: Atlas) -> str:
-    return _csv_text([_csv_row(r) for r in atlas.reports])
+    return _atlas_text(atlas, "csv")
 
 
 def report_csv(report: ComponentReport) -> str:
-    return _csv_text([_csv_row(report)])
+    out = io.StringIO()
+    _write_csv((report,), out)
+    return out.getvalue()
 
 
-def _table(rows: list[list[str]]) -> str:
-    header = list(CSV_HEADER)
-    widths = [len(h) for h in header]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(header))]
-    for row in rows:
-        lines.append("  ".join(c.ljust(widths[i]) for i, c in enumerate(row)))
-    return "\n".join(line.rstrip() for line in lines) + "\n"
-
-
-def atlas_table(atlas: Atlas) -> str:
-    rows = [[str(c) for c in _csv_row(r)] for r in atlas.reports]
-    text = _table(rows)
-    text += "\n%d component(s) for c2 = %d\n" % (len(rows), atlas.options.k)
+def _write_table(k: int, reports, out) -> None:
+    rows, listed_m3 = [], False
+    for r in reports:
+        rows.append([str(c) for c in _csv_row(r)])
+        listed_m3 = listed_m3 or r.descriptor == M3_DESCRIPTOR
+    widths = [max(map(len, column)) for column in zip(CSV_HEADER, *rows)]
+    for row in (CSV_HEADER, *rows):
+        out.write("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip()
+                  + "\n")
+    out.write("\n%d component(s) for c2 = %d\n" % (len(rows), k))
     # the tally by (reflexive kind, curve kind), read off the tag cells
     kinds = Counter((tag_kind(r[1]), tag_kind(r[2])) for r in rows)
     for (fam_kind, curve_kind), count in sorted(kinds.items()):
-        text += "  %s over %s: %d\n" % (fam_kind, curve_kind, count)
-    if any(r.descriptor == M3_DESCRIPTOR for r in atlas.reports):
-        text += (
+        out.write("  %s over %s: %d\n" % (fam_kind, curve_kind, count))
+    if listed_m3:
+        out.write(
             "previously published components of this moduli space: %d; "
             "with the one above the total is at least %d\n"
             % (PUBLISHED_M3_PRIOR_COMPONENTS, PUBLISHED_M3_PRIOR_COMPONENTS + 1)
         )
-    return text
+
+
+def atlas_table(atlas: Atlas) -> str:
+    return _atlas_text(atlas, "table")
 
 
 def verdict_line(v: ConditionVerdict) -> str:

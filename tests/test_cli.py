@@ -2,6 +2,7 @@
 
 import csv
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -246,24 +247,46 @@ def test_json_peak_memory_is_near_the_table_peak():
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
-                    reason="needs an enforced address-space limit")
-def test_out_of_memory_exits_4():
-    # The child may map at most 60 MB, which the c2 = 45 table outgrows;
-    # the limit is set before the interpreter starts, or the child never runs.
+                    reason="reads ru_maxrss in KiB, as Linux reports it")
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_streamed_peak_memory_does_not_grow_with_c2(fmt):
+    # c2 = 45 has 11,472 reports against 314 at c2 = 14; JSON and CSV write
+    # each report as the walk builds it and keep none of them.
+    small = peak_rss_mb("enumerate", "--c2", "14", "--format", fmt)
+    large = peak_rss_mb("enumerate", "--c2", "45", "--format", fmt)
+    assert large <= small + 3, (small, large)
+
+
+def run_limited(limit_mb, *argv):
+    """`python -m sheafatlas.cli argv` as a child that may map at most
+    limit_mb MB; the limit is set before the interpreter starts, or the
+    child never runs.  Returns (exit code, stderr)."""
     resource = pytest.importorskip("resource")
-    limit = 60 << 20
+    limit = limit_mb << 20
 
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
     src = os.path.dirname(os.path.dirname(sheafatlas.__file__))
     env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
-        [sys.executable, "-m", "sheafatlas.cli", "enumerate", "--c2", "45",
-         "--format", "table"],
+        [sys.executable, "-m", "sheafatlas.cli", *argv],
         env=env, preexec_fn=limit_memory, stdout=subprocess.DEVNULL,
         stderr=subprocess.PIPE, text=True)
-    assert proc.returncode == 4
-    assert proc.stderr == "error: out of memory\n"  # one line, no traceback
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="needs an enforced address-space limit")
+def test_out_of_memory_exits_4():
+    # The table keeps its cells until it knows its column widths, so it
+    # still grows with c2: under 32 MB the c2 = 22 table fits and the
+    # c2 = 60 table does not.  The control shows that the limit does not
+    # merely stop the interpreter from starting.
+    argv = ("enumerate", "--format", "table", "--c2")
+    assert run_limited(32, *argv, "22") == (0, "")
+    code, err = run_limited(32, *argv, "60")
+    assert code == 4
+    assert err == "error: out of memory\n"  # one line, no traceback
 
 
 @pytest.mark.parametrize("argv", [
@@ -301,7 +324,7 @@ def test_keyboard_interrupt_exits_130(monkeypatch, capsys):
     def interrupted(opts):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(sheafatlas.cli.atlas_mod, "enumerate_components",
+    monkeypatch.setattr(sheafatlas.cli.atlas_mod, "iter_components",
                         interrupted)
     try:
         code, out, err = run(capsys, "enumerate", "--c2", "4")
@@ -310,3 +333,28 @@ def test_keyboard_interrupt_exits_130(monkeypatch, capsys):
     assert code == 130
     assert out == ""
     assert err == "interrupted\n"  # one line, no traceback
+
+
+@pytest.mark.parametrize("exc, code, message", [
+    (KeyboardInterrupt, 130, "interrupted\n"),
+    (MemoryError, 4, "error: out of memory\n"),
+], ids=["interrupt", "out-of-memory"])
+def test_failure_mid_stream_leaves_a_prefix(monkeypatch, capsys, exc, code,
+                                            message):
+    argv = ("enumerate", "--c2", "7", "--format", "json")
+    _, full, _ = run(capsys, *argv)
+    walk = sheafatlas.cli.atlas_mod.iter_components
+
+    def fails_after_three(opts):
+        yield from itertools.islice(walk(opts), 3)
+        raise exc
+
+    monkeypatch.setattr(sheafatlas.cli.atlas_mod, "iter_components",
+                        fails_after_three)
+    try:
+        got, out, err = run(capsys, *argv)
+    except (KeyboardInterrupt, MemoryError):
+        pytest.fail("%s escaped cli.main" % exc.__name__)
+    assert (got, err) == (code, message)  # one line, no traceback
+    assert out.count('"descriptor"') == 3
+    assert full.startswith(out) and len(out) < len(full)

@@ -6,6 +6,7 @@ json.dumps(indent=2, sort_keys=True) must reproduce the emitter's bytes
 exactly.
 """
 
+import io
 import json
 from fractions import Fraction
 
@@ -16,9 +17,16 @@ from sheafatlas.atlas import (
     EnumerationOptions,
     VerificationSummary,
     enumerate_components,
+    iter_components,
 )
-from sheafatlas.render import SCHEMA_VERSION, atlas_json, report_json, \
-    verification_text
+from sheafatlas.render import (
+    CSV_HEADER,
+    SCHEMA_VERSION,
+    atlas_json,
+    report_json,
+    verification_text,
+    write_atlas,
+)
 from sheafatlas.transform import (
     ComponentDescriptor,
     ConditionStatus,
@@ -111,14 +119,33 @@ def descriptor(reflexive, curve, s):
                                s)
 
 
+def streamed(opts, fmt):
+    """What `enumerate` writes: the walk's reports, one at a time."""
+    out = io.StringIO()
+    write_atlas(opts, iter_components(opts), fmt, out)
+    return out.getvalue()
+
+
 @pytest.mark.parametrize("floor", [1, 2, 3])
 def test_atlas_json_is_the_oracle_tree(floor):
     for k in range(3, 17):
         atlas = enumerate_components(EnumerationOptions(k, floor))
-        assert atlas_json(atlas) == oracle_text(atlas_oracle(atlas)), k
+        text = oracle_text(atlas_oracle(atlas))
+        assert atlas_json(atlas) == text, k
+        assert streamed(atlas.options, "json") == text, k
     # k = 3 with floor 3 is the empty atlas
     assert json.loads(atlas_json(enumerate_components(
         EnumerationOptions(3, 3))))["reports"] == []
+
+
+def test_the_empty_atlas_streams_its_header_only():
+    opts = EnumerationOptions(3, 3)
+    assert streamed(opts, "json") == json.dumps({
+        "schema_version": SCHEMA_VERSION, "k": 3,
+        "options": {"min_curve_degree": 3, "include_erratum_families": True},
+        "reports": [],
+    }, indent=2, sort_keys=True) + "\n"
+    assert streamed(opts, "csv") == ",".join(CSV_HEADER) + "\n"
 
 
 def test_atlas_json_dumps_only_the_header_and_the_notes(monkeypatch):
