@@ -163,8 +163,11 @@ def main(argv=None) -> int:
         print("interrupted", file=sys.stderr)
         return INTERRUPTED
     except MemoryError:
-        print("error: out of memory", file=sys.stderr)
-        return OUT_OF_MEMORY
+        pass
+    # Reported after the handler, which would keep the failed run's frames,
+    # and the data they hold, alive while printing needs memory.
+    print("error: out of memory", file=sys.stderr)
+    return OUT_OF_MEMORY
 
 
 if __name__ == "__main__":

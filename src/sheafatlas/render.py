@@ -10,8 +10,9 @@ erratum note values) are emitted as {"num": ..., "den": ...} objects.
 Schema-1 JSON is written from one fixed per-report template whose keys are
 spelled out in sorted order.  Its bytes are those json.dumps(indent=2,
 sort_keys=True) gives for the same tree, without building the tree: only
-erratum notes, whose values vary in shape, go through json.dumps, as does
-the atlas header, once.
+erratum notes, whose values vary in shape, go through json.dumps, once for
+each run of reports that share one notes tuple, as does the atlas header,
+once.
 
 An atlas is written by `write_atlas` to a text stream as a report iterator
 yields its reports, so `enumerate` never holds the whole atlas or its text.
@@ -139,22 +140,56 @@ def _list(items: list, close: str) -> str:
     return "[" + ",".join(items) + close if items else "[]"
 
 
+def _last_text(text):
+    """A function x -> text(x) that keeps the text of the last x it was
+    given and returns it, without calling text, when given that very object
+    again.  It holds x itself, so `is` never matches a freed object whose id
+    was reused."""
+    held, kept = object(), None
+
+    def memo(x):
+        nonlocal held, kept
+        if x is not held:
+            held, kept = x, text(x)
+        return kept
+    return memo
+
+
+def _ledger_text(text):
+    """A function verdicts -> [text(v) for v in verdicts] with a _last_text
+    for each ledger position: check_conditions shares the verdicts a family
+    kind fixes between all its ledgers, so only the others are written
+    again."""
+    slots = []
+
+    def texts(verdicts):
+        while len(slots) < len(verdicts):
+            slots.append(_last_text(text))
+        return [slot(v) for slot, v in zip(slots, verdicts)]
+    return texts
+
+
 def _report_writer(pad: str):
     """A function that writes one report from the _REPORT template, every
-    line after the first indented by pad."""
+    line after the first indented by pad.  A run's reports share one notes
+    tuple, so its notes go through json.dumps once per run."""
     nl = "\n" + pad
     report, closed_form, curve_part, verdict = (
         t.replace("\n", nl)
         for t in (_REPORT, _CLOSED_FORM, _CURVE_PART, _VERDICT))
 
+    def notes_text(notes) -> str:
+        if not notes:
+            return "[]"
+        return json.dumps([_note_dict(n) for n in notes], indent=2,
+                          sort_keys=True).replace("\n", nl + "  ")
+    notes = _last_text(notes_text)
+    verdicts = _ledger_text(lambda v: verdict % (
+        _str(v.condition), _str(v.note), _str(v.status.value)))
+
     def write(r: ComponentReport) -> str:
         d, e, o, sig = r.descriptor, r.chern_e, r.reflexive_chern, r.signature
         closed = r.reflexive_chern_closed
-        notes = "[]"
-        if r.erratum_notes:
-            notes = json.dumps([_note_dict(n) for n in r.erratum_notes],
-                               indent=2, sort_keys=True)
-            notes = notes.replace("\n", nl + "  ")
         return report % (
             e.c1, e.c2, e.c3, e.rank,
             "null" if closed is None else closed_form % (
@@ -162,13 +197,11 @@ def _report_writer(pad: str):
             o.c1, o.c2, o.c3, o.rank,
             r.chi_l, r.chi_hom_fl, r.deg_l,
             _str(curve_tag(d.curve)), _str(reflexive_tag(d.reflexive)), d.s,
-            r.dim_component, r.dim_tangent, notes, r.hom_orbit_dim, r.k,
-            r.normal_bundle_h1,
+            r.dim_component, r.dim_tangent, notes(r.erratum_notes),
+            r.hom_orbit_dim, r.k, r.normal_bundle_h1,
             _list([curve_part % p for p in sig.curve_parts], nl + "    ]"),
             sig.isolated_points_from_w, sig.reflexive_sing_c3,
-            _list([verdict % (_str(v.condition), _str(v.note),
-                              _str(v.status.value)) for v in r.verdicts],
-                  nl + "  ]"),
+            _list(verdicts(r.verdicts), nl + "  ]"),
         )
     return write
 
@@ -227,28 +260,34 @@ def report_json(report: ComponentReport) -> str:
         _report_writer("  ")(report), _str(SCHEMA_VERSION))
 
 
-def _csv_row(report: ComponentReport) -> list:
-    d = report.descriptor
-    return [
-        report.k,
-        reflexive_tag(d.reflexive),
-        curve_tag(d.curve),
-        d.s,
-        report.deg_l,
-        report.chi_l,
-        report.chi_hom_fl,
-        report.dim_component,
-        report.dim_tangent,
-        "|".join("%s=%s" % (v.condition, v.status.value)
-                 for v in report.verdicts),
-        "; ".join(n.message for n in report.erratum_notes),
-    ]
+def _csv_row_writer():
+    """A function that gives one report's CSV cells, in CSV_HEADER order."""
+    conditions = _ledger_text(
+        lambda v: "%s=%s" % (v.condition, v.status.value))
+    notes = _last_text(lambda notes: "; ".join(n.message for n in notes))
+
+    def row(report: ComponentReport) -> list:
+        d = report.descriptor
+        return [
+            report.k,
+            reflexive_tag(d.reflexive),
+            curve_tag(d.curve),
+            d.s,
+            report.deg_l,
+            report.chi_l,
+            report.chi_hom_fl,
+            report.dim_component,
+            report.dim_tangent,
+            "|".join(conditions(report.verdicts)),
+            notes(report.erratum_notes),
+        ]
+    return row
 
 
 def _write_csv(reports, out) -> None:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    writer.writerows(map(_csv_row, reports))
+    writer.writerows(map(_csv_row_writer(), reports))
 
 
 def atlas_csv(atlas: Atlas) -> str:
@@ -262,9 +301,9 @@ def report_csv(report: ComponentReport) -> str:
 
 
 def _write_table(k: int, reports, out) -> None:
-    rows, listed_m3 = [], False
+    rows, listed_m3, cells = [], False, _csv_row_writer()
     for r in reports:
-        rows.append([str(c) for c in _csv_row(r)])
+        rows.append([str(c) for c in cells(r)])
         listed_m3 = listed_m3 or r.descriptor == M3_DESCRIPTOR
     widths = [max(map(len, column)) for column in zip(CSV_HEADER, *rows)]
     for row in (CSV_HEADER, *rows):

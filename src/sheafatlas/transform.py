@@ -5,17 +5,23 @@ of extra points; the one codec for its tags ("S:a,b,c" or "V:m", "R:d" or
 "CI:d1,d2") lives here.  The transformed sheaf E is the kernel of a
 surjection from a family member F onto L + O_W, where L is a line bundle on
 the curve and W is a set of s points.  Everything derived from that datum
-is computed here.  `assemble_report` is the one place a report's numbers
-are derived, each once: the invariants of L forced by c3(E) = 0, the Chern
-classes of E, the orbit-space and component dimensions, and a separately
-written tangent-space assembly that must reproduce the component dimension
-exactly.  It reads chi(L) once, via `chi_l`, and passes that integer to
-`chern_of_e` and `chi_hom_fl`; the admissibility ledger `check_conditions`
-passes n = c3(R)/2 to `max_points`.  Chern numbers and the stability
-margin are read off integer values of Hilbert polynomials through the
-dictionary in `p3rr`, so no polynomial object is built here.  `verify` also
-calls `chi_hom_fl` and `stability_margin`; `describe` calls
-`check_conditions`.
+is computed here.
+
+The reports over one (R, C) pair form a run, s = 0..n.  `component_run`
+derives once per run what does not vary with s: the Chern data of R and E,
+the genus and normal cohomology of C, the Ext profile, dim R - dim PAut(F),
+the closed form, the run's erratum notes and the curve part of the
+singularity signature, with the c3(E) = 0, c2(E) = c2(R) + deg(C) and
+closed-form c2 certificates, which then hold for every s.
+`assemble_report` is the one place a report's numbers are derived, each
+once, as the member at s of its run: chi(L), chi(Hom(F, L)) with its
+two-route check, the orbit, component and tangent dimensions with their
+equality check, the signature, the admissibility ledger `check_conditions`
+(which passes n = c3(R)/2 to `max_points`) and the published-m3-values
+note.  Chern numbers and the stability margin are read off integer values
+of Hilbert polynomials through the dictionary in `p3rr`, so no polynomial
+object is built here.  `verify` also calls `chi_hom_fl` and
+`stability_margin`; `describe` calls `check_conditions`.
 """
 
 from __future__ import annotations
@@ -225,6 +231,16 @@ class ComponentReport(namedtuple("ComponentReport", (
     __slots__ = ()
 
 
+class ComponentRun(namedtuple("ComponentRun", (
+        "reflexive curve chern_r chern_e chi_l0 genus normal_h1 dim_fixed "
+        "tangent_fixed closed notes curve_parts"))):
+    """What component_run derives once for the reports over (R, C): every
+    report field that does not vary with s, chi(L) at s = 0, and the s-free
+    parts of the component and tangent dimensions."""
+
+    __slots__ = ()
+
+
 def chi_l(d: ComponentDescriptor) -> int:
     """chi(L) = 2*deg(C) + n - s, forced by c3(E) = 0."""
     return 2 * d.curve.degree + half_c3(d.reflexive) - d.s
@@ -361,14 +377,15 @@ def stability_margin(d: ComponentDescriptor) -> tuple[int, int]:
     return m[0], m[1] - m[0]
 
 
-def _erratum_notes(
-    d: ComponentDescriptor, chern_r: ChernData, dim: int,
+def _run_notes(
+    reflexive: ReflexiveFamily, curve: CurveFamily, chern_r: ChernData,
     closed: tuple[int, Fraction] | None,
 ) -> tuple[ErratumNote, ...]:
+    """The erratum notes that every report of the (R, C) run carries."""
     notes = []
     oracle = chern_r.c3
     if closed is not None and closed[1] != oracle:
-        tag = reflexive_tag(d.reflexive)
+        tag = reflexive_tag(reflexive)
         notes.append(ErratumNote(
             code="closed-form-c3-mismatch",
             message=("closed-form c3 for %s gives %s; the resolution route "
@@ -376,42 +393,82 @@ def _erratum_notes(
             values=(("triple", tag), ("closed_form", closed[1]),
                     ("resolution_oracle", oracle)),
         ))
-    if d == M3_DESCRIPTOR and dim != PUBLISHED_M3_DIMENSION:
-        notes.append(ErratumNote(
-            code="published-m3-values",
-            message=(
-                "published dimension %d for this component differs from the "
-                "computed %d; published spectrum %s recorded as a literature "
-                "note (the published label indexes the component by the line "
-                "family, while the curve in the construction is a conic)"
-                % (PUBLISHED_M3_DIMENSION, dim, str(PUBLISHED_M3_SPECTRUM))
-            ),
-            values=(
-                ("computed_dimension", dim),
-                ("published_dimension", PUBLISHED_M3_DIMENSION),
-                ("published_spectrum", PUBLISHED_M3_SPECTRUM),
-            ),
-        ))
-    if d.curve.degree < DEFAULT_MIN_CURVE_DEGREE:
+    if curve.degree < DEFAULT_MIN_CURVE_DEGREE:
         notes.append(ErratumNote(
             code="outside-degree-novelty",
             message=(
                 "curve degree %d is below the default floor of %d; this "
                 "configuration duplicates previously known component types"
-                % (d.curve.degree, DEFAULT_MIN_CURVE_DEGREE)
+                % (curve.degree, DEFAULT_MIN_CURVE_DEGREE)
             ),
-            values=(("curve_degree", d.curve.degree),),
+            values=(("curve_degree", curve.degree),),
         ))
     return tuple(notes)
 
 
+def _m3_note(dim: int) -> ErratumNote:
+    """The literature note of M3_DESCRIPTOR, one descriptor of its run."""
+    return ErratumNote(
+        code="published-m3-values",
+        message=(
+            "published dimension %d for this component differs from the "
+            "computed %d; published spectrum %s recorded as a literature "
+            "note (the published label indexes the component by the line "
+            "family, while the curve in the construction is a conic)"
+            % (PUBLISHED_M3_DIMENSION, dim, str(PUBLISHED_M3_SPECTRUM))
+        ),
+        values=(
+            ("computed_dimension", dim),
+            ("published_dimension", PUBLISHED_M3_DIMENSION),
+            ("published_spectrum", PUBLISHED_M3_SPECTRUM),
+        ),
+    )
+
+
+def component_run(reflexive: ReflexiveFamily,
+                  curve: CurveFamily) -> ComponentRun:
+    """Derive and certify once what every report over (R, C) shares;
+    assemble_report says what that is and why it holds for every s."""
+    chern_r = chern_of(reflexive)
+    first = ComponentDescriptor(reflexive, curve, 0)
+    chi_l0 = chi_l(first)
+    chern_e = chern_of_e(first, chi_l0)
+    if chern_e.c2 != chern_r.c2 + curve.degree:
+        raise CertificateError("c2(E) = %d is not c2(R) + deg(C)" % chern_e.c2)
+    closed = None
+    if isinstance(reflexive, SplitResolution):
+        closed = chern_sabc_closed(reflexive.a, reflexive.b, reflexive.c)
+        if closed[0] != chern_r.c2:
+            raise CertificateError("closed-form c2 %d disagrees" % closed[0])
+    g = genus(curve)
+    normal = normal_cohomology(curve)
+    profile = ext_profile(reflexive)
+    return ComponentRun(
+        reflexive=reflexive,
+        curve=curve,
+        chern_r=chern_r,
+        chern_e=chern_e,
+        chi_l0=chi_l0,
+        genus=g,
+        normal_h1=normal.h1,
+        dim_fixed=(dim_moduli(reflexive) - dim_paut(reflexive)
+                   + normal.h0 + g),
+        tangent_fixed=normal.h0 + profile.ext1 + 1 - profile.hom + g,
+        closed=closed,
+        notes=_run_notes(reflexive, curve, chern_r, closed),
+        curve_parts=((curve.degree, g),),
+    )
+
+
 def build_report(
-    d: ComponentDescriptor, min_curve_degree: int = DEFAULT_MIN_CURVE_DEGREE
+    d: ComponentDescriptor, min_curve_degree: int = DEFAULT_MIN_CURVE_DEGREE,
+    run: ComponentRun | None = None,
 ) -> ComponentReport:
-    """Assemble the full report; rejects hard-constraint violations."""
+    """Assemble the full report; rejects hard-constraint violations.  `run`
+    is d's run if the caller holds it, as assemble_report takes it."""
     failures = [v.condition for v in check_conditions(d)
-                if v.status is ConditionStatus.FAILS
-                and v.condition in ("points-bound", "degree-bound")]
+                if v.condition in ("points-bound", "degree-bound")
+                and v.status is ConditionStatus.FAILS]
     if failures:
         raise InadmissibleDescriptor(
             "descriptor violates: %s" % ", ".join(failures)
@@ -421,17 +478,36 @@ def build_report(
             "curve degree %d below the configured floor %d"
             % (d.curve.degree, min_curve_degree)
         )
-    return assemble_report(d)
+    return assemble_report(d, run)
 
 
-def assemble_report(d: ComponentDescriptor) -> ComponentReport:
+def assemble_report(d: ComponentDescriptor,
+                    run: ComponentRun | None = None) -> ComponentReport:
     """Assemble a report without enforcing the hard constraints.
 
     Used by build_report after validation, and by the CLI to render a
     best-effort report for inadmissible descriptors (the verdict column
-    then shows the failures).  Each number is derived once, top-down:
+    then shows the failures).  The report is the member at d.s of `run`,
+    the component_run of (R, C), which is built here when none is passed.
 
-    - deg(L) = g - 1 + chi(L) by Riemann-Roch on C.
+    Derived and certified once per run, and why that holds for every s:
+
+    - chern_e is read at s = 0.  P(E) = P(F) - P(Q) with P(Q)(t) = chi(L)
+      + s + deg(C)*t, which depends on chi(L) + s = 2*deg(C) + n only, so
+      P(E), its c3 = 0 and its c2(E) = c2(R) + deg(C) certificates are the
+      same at every s.
+    - The closed form and its c2 certificate read only a, b and c.
+    - c(R), the genus, h0(N_C), h1(N_C), the Ext profile and dim R - dim
+      PAut(F) read only the family or only the curve.  They enter the
+      s-free parts of the two dimension routes, which are still compared
+      at every s.
+    - The run's notes are one shared tuple: closed-form-c3-mismatch and
+      outside-degree-novelty depend on R or on C alone.
+
+    Derived here, once per report, top-down:
+
+    - chi(L) = 2*deg(C) + n - s (chi_l) falls by one per point, and
+      deg(L) = g - 1 + chi(L) by Riemann-Roch on C.
     - The orbit space Hom(F, Q)/Aut(Q) has dimension (chi(Hom(F,L)) - 1)
       + s: h0(Hom(F, L)) equals the Euler characteristic under the
       h1-vanishing condition, giving a projective space of dimension
@@ -447,48 +523,47 @@ def assemble_report(d: ComponentDescriptor) -> ComponentReport:
       plus the Ext^1(F,F) block of the Ext profile; h1(Hom(E,E)) = 1
       - h0(Hom(F,F)) + h0(Hom(F,Q)) - h0(Hom(Q,Q)) + h1(Hom(Q,Q)) with
       h0(Hom(F,Q)) = chi(Hom(F,L)) + 2s, h0(Hom(Q,Q)) = 1 + s and
-      h1(Hom(Q,Q)) = g.  Agreement with the component dimension certifies
-      the whole assembly; a mismatch raises CertificateError.
+      h1(Hom(Q,Q)) = g.  Agreement with the component dimension, checked
+      at every s, certifies the whole assembly; a mismatch raises
+      CertificateError.
     - Sing(E) is the curve (deg C, g), the s points of W and the singular
       points of the reflexive hull, of weight c3(R).
+    - The verdicts are the full ledger of d.  The published-m3-values note
+      belongs to M3_DESCRIPTOR, not to its run, and is added here.
     """
-    fam, curve, s = d.reflexive, d.curve, d.s
-    chern_r = chern_of(fam)
-    chi = chi_l(d)
-    chern_e = chern_of_e(d, chi)
-    g = genus(curve)
-    normal = normal_cohomology(curve)
+    if run is None:
+        run = component_run(d.reflexive, d.curve)
+    elif run.reflexive != d.reflexive or run.curve != d.curve:
+        raise ValueError("%r is not a member of the run over (%r, %r)"
+                         % (d, run.reflexive, run.curve))
+    s = d.s
+    chi = run.chi_l0 - s
     chi_hom = chi_hom_fl(d, chi)
     if chi_hom < 1:
         raise ValueError("empty Hom: chi(Hom(F,L)) = %d" % chi_hom)
     orbit = (chi_hom - 1) + s
-    dim = dim_moduli(fam) + 3 * s + normal.h0 + g + orbit - dim_paut(fam)
-    profile = ext_profile(fam)
-    tangent = (3 * s + normal.h0 + profile.ext1 + 1 - profile.hom
-               + (chi_hom + 2 * s) - (1 + s) + g)
+    dim = run.dim_fixed + 3 * s + orbit
+    tangent = run.tangent_fixed + 3 * s + (chi_hom + 2 * s) - (1 + s)
     if dim != tangent:
         raise CertificateError("assembly mismatch: %d vs %d" % (dim, tangent))
-    if chern_e.c2 != chern_r.c2 + curve.degree:
-        raise CertificateError("c2(E) = %d is not c2(R) + deg(C)" % chern_e.c2)
-    closed = None
-    if isinstance(fam, SplitResolution):
-        closed = chern_sabc_closed(fam.a, fam.b, fam.c)
-        if closed[0] != chern_r.c2:
-            raise CertificateError("closed-form c2 %d disagrees" % closed[0])
+    notes = run.notes
+    if d == M3_DESCRIPTOR and dim != PUBLISHED_M3_DIMENSION:
+        # the M3 run, V:1 over a conic, carries no note of its own
+        notes += (_m3_note(dim),)
     return ComponentReport(
         descriptor=d,
-        k=chern_e.c2,
-        chern_e=chern_e,
-        deg_l=chi + g - 1,
+        k=run.chern_e.c2,
+        chern_e=run.chern_e,
+        deg_l=chi + run.genus - 1,
         chi_l=chi,
         chi_hom_fl=chi_hom,
         hom_orbit_dim=orbit,
         dim_component=dim,
         dim_tangent=tangent,
         verdicts=check_conditions(d),
-        signature=SingularitySignature(((curve.degree, g),), s, chern_r.c3),
-        erratum_notes=_erratum_notes(d, chern_r, dim, closed),
-        reflexive_chern=chern_r,
-        reflexive_chern_closed=closed,
-        normal_bundle_h1=normal.h1,
+        signature=SingularitySignature(run.curve_parts, s, run.chern_r.c3),
+        erratum_notes=notes,
+        reflexive_chern=run.chern_r,
+        reflexive_chern_closed=run.closed,
+        normal_bundle_h1=run.normal_h1,
     )

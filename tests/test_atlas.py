@@ -21,6 +21,7 @@ from sheafatlas.families import (
 from sheafatlas.p3rr import ChernData
 from sheafatlas.transform import (
     ComponentDescriptor,
+    assemble_report,
     curve_tag,
     reflexive_tag,
 )
@@ -112,6 +113,19 @@ def test_k_additivity_and_uniqueness():
 def test_determinism():
     opts = EnumerationOptions(k=7)
     assert enumerate_components(opts) == enumerate_components(opts)
+
+
+@pytest.mark.parametrize("floor", [1, 2])
+def test_enumerate_and_describe_take_one_route(floor):
+    # The walk builds each run once and its reports as members; a report
+    # built alone, as describe builds it, builds its run fresh.
+    codes = set()
+    for k in range(3, 23):
+        for r in atlas.iter_components(EnumerationOptions(k, floor)):
+            assert r == assemble_report(r.descriptor), r.descriptor
+            codes.update(n.code for n in r.erratum_notes)
+    assert codes == {"closed-form-c3-mismatch", "published-m3-values"} | (
+        {"outside-degree-novelty"} if floor == 1 else set())
 
 
 def test_brute_force_completeness():
@@ -222,6 +236,29 @@ def test_empty_atlas_check_counts():
         ("signature-distinctness", 1, 0),
         ("rerun-determinism", 1, 0),
     ]
+
+
+@pytest.mark.parametrize("second_walk", [
+    lambda reports: reports[:-1],
+    lambda reports: reports[:7] + reports[8:9] + reports[8:],
+    lambda reports: reports + reports[-1:],
+], ids=["one-short", "one-differs", "one-extra"])
+def test_rerun_determinism_can_fail(monkeypatch, second_walk):
+    # The first walk is held by enumerate_components; the second one is
+    # compared as it streams.
+    real, walks = atlas.iter_components, []
+
+    def walk(opts):
+        walks.append(opts)
+        reports = list(real(opts))
+        return iter(reports if len(walks) == 1 else second_walk(reports))
+    monkeypatch.setattr(atlas, "iter_components", walk)
+    checks = {c.name: c for c in verify_atlas(EnumerationOptions(k=6)).checks}
+    assert len(walks) == 2
+    broken = checks.pop("rerun-determinism")
+    assert (broken.passed, broken.failed, broken.failures) == (
+        0, 1, ("atlases differ",))
+    assert all(c.failed == 0 for c in checks.values())
 
 
 def test_passing_cases_get_no_label(monkeypatch):

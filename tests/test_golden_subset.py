@@ -6,7 +6,9 @@ module replays a subset in-process through `sheafatlas.cli.main`, with
 `chern_of`'s cache cleared before each command as in a fresh process:
 
 - `enumerate` for c2 = 3..14 in every format, with the report counts;
-- `enumerate --format json` for c2 = 15..30, the sizes the benchmark runs;
+- `enumerate --format json` for c2 = 15..30, and `--format csv` and
+  `--format table` for c2 = 15..22, which covers every command the
+  benchmark's enumerate sweep runs;
 - every recorded `verify` command, `--max-k` 10..14;
 - every describe pair at s = 0..6, in format (pair index + s) % 3.
 
@@ -66,6 +68,16 @@ def test_enumerate_json_matches_golden_up_to_30(golden):
         argv = ["enumerate", "--c2", str(k), "--format", "json"]
         if replay(argv)[0] != golden["enumerate"][" ".join(argv)]:
             drift.append(" ".join(argv))
+    assert drift == []
+
+
+def test_enumerate_csv_and_table_match_golden_up_to_22(golden):
+    drift = []
+    for k in range(15, 23):
+        for fmt in ("csv", "table"):
+            argv = ["enumerate", "--c2", str(k), "--format", fmt]
+            if replay(argv)[0] != golden["enumerate"][" ".join(argv)]:
+                drift.append(" ".join(argv))
     assert drift == []
 
 

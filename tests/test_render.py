@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from sheafatlas import render
 from sheafatlas.atlas import (
     CheckResult,
     EnumerationOptions,
@@ -28,6 +29,7 @@ from sheafatlas.render import (
     write_atlas,
 )
 from sheafatlas.transform import (
+    M3_DESCRIPTOR,
     ComponentDescriptor,
     ConditionStatus,
     assemble_report,
@@ -149,14 +151,36 @@ def test_the_empty_atlas_streams_its_header_only():
 
 
 def test_atlas_json_dumps_only_the_header_and_the_notes(monkeypatch):
-    atlas = enumerate_components(EnumerationOptions(12))
+    # A run's reports share one notes tuple, written once; the M3 report
+    # adds its own note to a run with none.
     dumps, calls = json.dumps, []
     monkeypatch.setattr(json, "dumps",
                         lambda *a, **kw: calls.append(a) or dumps(*a, **kw))
+    for k, floor in ((12, 2), (3, 1), (10, 1)):
+        atlas = enumerate_components(EnumerationOptions(k, floor))
+        calls.clear()
+        atlas_json(atlas)
+        with_notes = [r for r in atlas.reports if r.erratum_notes]
+        runs = {(r.descriptor.reflexive, r.descriptor.curve)
+                for r in with_notes if r.descriptor != M3_DESCRIPTOR}
+        m3 = sum(r.descriptor == M3_DESCRIPTOR for r in with_notes)
+        assert 0 < len(runs) < len(with_notes)
+        # k = 3 at floor 1 is the M3 report and one run of notes only
+        assert m3 == (k == 3) == (len(with_notes) == len(atlas.reports))
+        assert len(calls) == 1 + len(runs) + m3
+
+
+def test_a_verdict_every_ledger_shares_is_written_once(monkeypatch):
+    # surjection-exists is one object in every ledger, so its text is
+    # written once per atlas, while points-bound is written per report
+    atlas = enumerate_components(EnumerationOptions(12))
+    real, calls = render._str, []
+    monkeypatch.setattr(render, "_str",
+                        lambda text: calls.append(text) or real(text))
     atlas_json(atlas)
-    with_notes = [r for r in atlas.reports if r.erratum_notes]
-    assert 0 < len(with_notes) < len(atlas.reports)
-    assert len(calls) == 1 + len(with_notes)
+    assert calls.count("open dense subset of Hom(F, Q)") == 1
+    assert calls.count("surjection-exists") == 1
+    assert calls.count("points-bound") == len(atlas.reports)
 
 
 @pytest.mark.parametrize("reflexive, curve, s, code, closed_form", [

@@ -268,6 +268,20 @@ def test_build_report_m3_flags_published_dimension():
     assert note.value("published_spectrum") == (-1, 0, 1)
 
 
+def test_a_member_of_another_run_is_refused():
+    run = transform.component_run(SplitResolution(0, 0, 2), RationalCurve(2))
+    assert assemble_report(S002_CONIC_1PT, run) == assemble_report(
+        S002_CONIC_1PT)
+    # the M3 note is the M3 report's own: its run carries none
+    m3 = transform.M3_DESCRIPTOR
+    assert transform.component_run(m3.reflexive, m3.curve).notes == ()
+    with pytest.raises(ValueError, match="is not a member of the run"):
+        assemble_report(V1_CONIC, run)
+    with pytest.raises(ValueError, match="is not a member of the run"):
+        build_report(ComponentDescriptor(
+            SplitResolution(0, 0, 2), CompleteIntersection(2, 2), 0), run=run)
+
+
 def test_build_report_examples():
     report = build_report(S002_CONIC)
     assert (report.k, report.dim_component) == (4, 32)
@@ -377,7 +391,7 @@ def _ext_hom_off_by_one(monkeypatch):
     monkeypatch.setattr(transform, "ext_profile", broken)
 
 
-@pytest.mark.parametrize("breakage, descriptor, message", [
+BREAKAGES = pytest.mark.parametrize("breakage, descriptor, message", [
     (_chi_l_off_by_one, V1_CONIC, "c3 of the transformed sheaf"),
     (_kappa_off_by_one, S002_CONIC, "route mismatch"),
     (_paut_off_by_one, V1_CONIC, "assembly mismatch"),
@@ -386,13 +400,37 @@ def _ext_hom_off_by_one(monkeypatch):
     (_hp_value_shifted_like_c2, V1_CONIC, r"c2\(E\) = 1 is not c2\(R\)"),
 ], ids=["transformed-c3", "section-count-route", "component-route",
         "tangent-route", "closed-form-c2", "transformed-c2"])
+
+
+@BREAKAGES
 def test_broken_certificates_raise_certificate_error(monkeypatch, breakage,
                                                      descriptor, message):
     # Not a ValueError: the CLI would report it as an inadmissible
-    # descriptor instead of a broken certificate.
+    # descriptor instead of a broken certificate.  The unbroken report comes
+    # first: it also reads chern_of into its cache, which the kappa breakage
+    # would otherwise reach through the resolution in presentation_value.
+    assemble_report(descriptor)
     breakage(monkeypatch)
     with pytest.raises(CertificateError, match=message):
         assemble_report(descriptor)
+
+
+@BREAKAGES
+def test_broken_certificates_raise_on_the_walk(monkeypatch, breakage,
+                                               descriptor, message):
+    # The walk builds each run's certificates once, for all its members: a
+    # breakage must stop it, and also stop an s > 0 member built alone.
+    opts = EnumerationOptions(assemble_report(descriptor).k)
+    run = (descriptor.reflexive, descriptor.curve)
+    walk = list(atlas.iter_components(opts))
+    assert run in {(r.descriptor.reflexive, r.descriptor.curve) for r in walk}
+    later = ComponentDescriptor(*run, 1)
+    assemble_report(later)
+    breakage(monkeypatch)
+    with pytest.raises(CertificateError, match=message):
+        list(atlas.iter_components(opts))
+    with pytest.raises(CertificateError, match=message):
+        assemble_report(later)
 
 
 def _count_calls(monkeypatch, names, modules=(transform,)):
@@ -410,28 +448,58 @@ def _count_calls(monkeypatch, names, modules=(transform,)):
     return calls
 
 
-@pytest.mark.parametrize("descriptor", [
-    transform.M3_DESCRIPTOR,
-    ComponentDescriptor(SplitResolution(0, 1, 0), RationalCurve(3), 2),
+# What component_run derives once per (family, curve) run.
+RUN_PARTS = ("component_run", "chern_of_e", "genus", "normal_cohomology",
+             "ext_profile", "chern_sabc_closed")
+
+
+@pytest.mark.parametrize("descriptor, closed_forms", [
+    (transform.M3_DESCRIPTOR, 0),
+    (ComponentDescriptor(SplitResolution(0, 1, 0), RationalCurve(3), 2), 1),
 ], ids=["m3", "S010-R3-s2"])
-def test_assemble_report_derives_each_number_once(monkeypatch, descriptor):
-    # chi(L) is read once and n = c3(R)/2 twice (chi_l and the ledger)
+def test_assemble_report_derives_each_number_once(monkeypatch, descriptor,
+                                                  closed_forms):
+    # Built alone, a report builds its run once: chi(L) is read once, at
+    # s = 0, and n = c3(R)/2 twice (chi_l and the ledger).  Only the split
+    # family has a closed form.
     calls = _count_calls(monkeypatch, (
-        "chi_l", "half_c3", "chi_hom_fl", "check_conditions"))
+        "chi_l", "half_c3", "chi_hom_fl", "check_conditions") + RUN_PARTS)
     assemble_report(descriptor)
     assert calls == {"chi_l": 1, "half_c3": 2, "chi_hom_fl": 1,
-                     "check_conditions": 1}
+                     "check_conditions": 1,
+                     **dict.fromkeys(RUN_PARTS, 1),
+                     "chern_sabc_closed": closed_forms}
+
+
+def _runs(reports):
+    """The (family, curve) runs of the reports, in walk order."""
+    return list(dict.fromkeys(
+        (r.descriptor.reflexive, r.descriptor.curve) for r in reports))
 
 
 def test_enumeration_reads_chi_and_n_once_per_report(monkeypatch):
-    # build_report adds one ledger (one more n) per report, and the
-    # enumeration one n per (family, curve) pair for the range of s.
+    # chi(L) is read once per run, at s = 0, and falls by one per point.
+    # n is read by the two ledgers of each report (build_report's and
+    # assemble_report's), and twice per run: by chi_l and by the walk for
+    # the range of s.
     calls = _count_calls(monkeypatch, ("chi_l", "half_c3"),
                          modules=(transform, atlas))
     reports = enumerate_components(EnumerationOptions(k=22)).reports
-    pairs = {(r.descriptor.reflexive, r.descriptor.curve) for r in reports}
-    assert calls["chi_l"] == len(reports)
-    assert calls["half_c3"] == 3 * len(reports) + len(pairs)
+    runs = _runs(reports)
+    assert (len(reports), len(runs)) == (1344, 69)
+    assert calls["chi_l"] == len(runs)
+    assert calls["half_c3"] == 2 * len(reports) + 2 * len(runs)
+
+
+def test_enumeration_derives_run_parts_once_per_run(monkeypatch):
+    calls = _count_calls(monkeypatch, RUN_PARTS + ("chi_hom_fl",),
+                         modules=(transform, atlas))
+    reports = enumerate_components(EnumerationOptions(k=22)).reports
+    runs = _runs(reports)
+    split_runs = [run for run in runs if isinstance(run[0], SplitResolution)]
+    assert (len(reports), len(runs), len(split_runs)) == (1344, 69, 38)
+    assert calls == {**dict.fromkeys(RUN_PARTS, 69),
+                     "chern_sabc_closed": 38, "chi_hom_fl": 1344}
 
 
 def test_transformed_chern_all_descriptors():

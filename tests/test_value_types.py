@@ -23,7 +23,7 @@ VALUE_TYPES = [
     families.SplitResolution, families.IdealExtension, families.ExtProfile,
     transform.ComponentDescriptor, transform.ConditionVerdict,
     transform.SingularitySignature, transform.ErratumNote,
-    transform.ComponentReport,
+    transform.ComponentReport, transform.ComponentRun,
     atlas.EnumerationOptions, atlas.Atlas, atlas.CheckResult,
     atlas.VerificationSummary,
 ]
@@ -41,6 +41,7 @@ def _samples() -> list:
         families.ext_profile(IdealExtension(1)),
         report.descriptor, report.verdicts[0], report.signature,
         report.erratum_notes[0], report,
+        transform.component_run(IdealExtension(1), RationalCurve(2)),
         opts, enumerate_components(opts), summary.checks[0], summary,
     ]
 
