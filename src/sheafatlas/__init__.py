@@ -2,8 +2,8 @@
 semistable sheaves on P^3 obtained by elementary transformations of
 reflexive sheaves along curves and collections of points.
 
-All arithmetic is exact and done in integers; `Fraction` appears only in the
-closed-form c3 audit and the JSON rationals.  Every Chern number is read off
+All arithmetic is exact and done in integers; the closed-form c3, which can
+be half-integral, is carried as 2*c3.  Every Chern number is read off
 integer values of a Hilbert polynomial through the Riemann-Roch dictionary
 in `p3rr`.  `HilbertPolynomial` is exported but used by no module of the
 package.  Every closed-form formula is cross-checked against an

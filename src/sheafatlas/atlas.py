@@ -321,7 +321,7 @@ def verify_module_invariants() -> tuple[CheckResult, ...]:
          reflexive_tag),
         ("closed-form-c3-single-exponent", [
             f for f in splits if f.a * f.b == f.a * f.c == f.b * f.c == 0],
-         lambda f: chern_sabc_closed(f.a, f.b, f.c)[1] == chern_of(f).c3,
+         lambda f: chern_sabc_closed(f.a, f.b, f.c)[1] == 2 * chern_of(f).c3,
          reflexive_tag),
         ("euler-pairing-ranges", fams, euler_check, reflexive_tag),
         ("family-c3-parity", fams, lambda f: chern_of(f).c3 % 2 == 0,

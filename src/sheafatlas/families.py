@@ -11,15 +11,14 @@ polynomial of the sheaf at an integer, summed from its presentation (the
 resolution, or the defining extension), and `chern_of` inverts its values
 at t = 0..3 through the Riemann-Roch dictionary of `p3rr`.  The split
 family has a second route, the closed forms in a, b, c; the closed form
-for c3 fails integrality on some mixed exponent triples, so it is returned
-as an exact rational and audited, never trusted.
+for c3 is half-integral on some mixed exponent triples, so it is returned
+doubled, as the integer 2*c3, and audited, never trusted.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
 
 from .p3rr import ChernData, chern_from_values, chi_o_p3, hp_value
@@ -74,14 +73,14 @@ class ExtProfile(namedtuple("ExtProfile", "hom ext1 ext2 ext3")):
         return self.hom - self.ext1 + self.ext2 - self.ext3
 
 
-def chern_sabc_closed(a: int, b: int, c: int) -> tuple[int, Fraction]:
-    """Closed-form (c2, c3) of the split family, evaluated literally.
+def chern_sabc_closed(a: int, b: int, c: int) -> tuple[int, int]:
+    """Closed-form (c2, 2*c3) of the split family, evaluated literally.
 
-    c2 is always an integer.  The c3 expression is returned as an exact
-    rational because its cross term (3/2)(2a+c+4)ac is non-integral on
-    triples such as (1, 0, 1); callers compare it against chern_of and
-    surface any disagreement instead of hiding it.  The sum is taken in
-    integers as 2*c3, whose terms are all integral, and halved once.
+    c2 is always an integer.  The c3 expression is returned doubled because
+    its cross term (3/2)(2a+c+4)ac is non-integral on triples such as
+    (1, 0, 1), while every term of 2*c3 is integral; callers compare it
+    against twice the c3 of chern_of and surface any disagreement instead
+    of hiding it.  `halved` writes the c3 it stands for.
     """
     kappa = _validate_exponents(a, b, c)
     c2 = kappa * kappa + 3 * kappa - (b + c)
@@ -89,7 +88,15 @@ def chern_sabc_closed(a: int, b: int, c: int) -> tuple[int, Fraction]:
         27 * math.comb(a + 2, 3) + 8 * math.comb(b + 2, 3) + math.comb(c + 2, 3)
         + 3 * (3 * a + 2 * b + 5) * a * b + (2 * b + 3 * c + 3) * b * c
         + 6 * a * b * c)
-    return c2, Fraction(twice_c3, 2)
+    return c2, twice_c3
+
+
+def halved(twice: int) -> tuple[str, int, int]:
+    """twice/2 in lowest terms as (text, den, num): ("40", 1, 40) for 80
+    and ("77/2", 2, 77) for 77."""
+    if twice % 2:
+        return "%d/2" % twice, 2, twice
+    return "%d" % (twice // 2), 1, twice // 2
 
 
 def presentation_value(family: ReflexiveFamily, t: int) -> int:

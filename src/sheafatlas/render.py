@@ -4,8 +4,9 @@ Descriptors are written with the one codec in transform: the reflexive
 side is "S:a,b,c" or "V:m", the curve side "R:d" or "CI:d1,d2".  The same
 strings appear in CLI flags, CSV cells and JSON, so output can be fed back
 into the describe command.  JSON keeps every value exact: all
-integers are JSON numbers and the rationals (the closed-form c3 and some
-erratum note values) are emitted as {"num": ..., "den": ...} objects.
+integers are JSON numbers, and the closed-form c3, which may be
+half-integral, is written as a {"num": ..., "den": ...} object from the
+integer 2*c3, as is the closed_form value of its erratum note.
 
 Schema-1 JSON is written from one fixed per-report template whose keys are
 spelled out in sorted order.  Its bytes are those json.dumps(indent=2,
@@ -16,8 +17,6 @@ once.
 
 An atlas is written by `write_atlas` to a text stream as a report iterator
 yields its reports, so `enumerate` never holds the whole atlas or its text.
-`atlas_json`, `atlas_csv` and `atlas_table` return the same bytes as one
-`str` for an `Atlas` already in memory.
 """
 
 from __future__ import annotations
@@ -27,15 +26,14 @@ import io
 import json
 from collections import Counter
 from collections.abc import Iterable
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _str
 
 from .atlas import (
     PUBLISHED_M3_PRIOR_COMPONENTS,
-    Atlas,
     EnumerationOptions,
     VerificationSummary,
 )
+from .families import halved
 from .transform import (
     M3_DESCRIPTOR,
     ComponentReport,
@@ -56,9 +54,12 @@ CSV_HEADER = (
 
 
 def _json_value(value):
-    if isinstance(value, Fraction):
-        return {"num": value.numerator, "den": value.denominator}
+    """A note value as JSON: a plain tuple is a list, or an object when it
+    is a non-empty tuple of (str, value) pairs, as note.values is."""
     if type(value) is tuple:
+        if value and all(type(p) is tuple and len(p) == 2
+                         and type(p[0]) is str for p in value):
+            return {k: _json_value(v) for k, v in value}
         return [_json_value(v) for v in value]
     if isinstance(value, tuple):
         # json.dumps would write a value type as a bare list
@@ -193,7 +194,7 @@ def _report_writer(pad: str):
         return report % (
             e.c1, e.c2, e.c3, e.rank,
             "null" if closed is None else closed_form % (
-                closed[0], closed[1].denominator, closed[1].numerator),
+                (closed[0],) + halved(closed[1])[1:]),
             o.c1, o.c2, o.c3, o.rank,
             r.chi_l, r.chi_hom_fl, r.deg_l,
             _str(curve_tag(d.curve)), _str(reflexive_tag(d.reflexive)), d.s,
@@ -245,16 +246,6 @@ def _write_json(options: EnumerationOptions, reports, out) -> None:
     out.write(close + after + "\n")
 
 
-def _atlas_text(atlas: Atlas, fmt: str) -> str:
-    out = io.StringIO()
-    write_atlas(atlas.options, atlas.reports, fmt, out)
-    return out.getvalue()
-
-
-def atlas_json(atlas: Atlas) -> str:
-    return _atlas_text(atlas, "json")
-
-
 def report_json(report: ComponentReport) -> str:
     return '{\n  "report": %s,\n  "schema_version": %s\n}\n' % (
         _report_writer("  ")(report), _str(SCHEMA_VERSION))
@@ -290,10 +281,6 @@ def _write_csv(reports, out) -> None:
     writer.writerows(map(_csv_row_writer(), reports))
 
 
-def atlas_csv(atlas: Atlas) -> str:
-    return _atlas_text(atlas, "csv")
-
-
 def report_csv(report: ComponentReport) -> str:
     out = io.StringIO()
     _write_csv((report,), out)
@@ -322,10 +309,6 @@ def _write_table(k: int, reports, out) -> None:
         )
 
 
-def atlas_table(atlas: Atlas) -> str:
-    return _atlas_text(atlas, "table")
-
-
 def verdict_line(v: ConditionVerdict) -> str:
     """One line of the admissibility ledger, as describe prints it."""
     return "  %-24s %-18s %s" % (v.condition, v.status.value, v.note)
@@ -346,7 +329,7 @@ def report_table(report: ComponentReport) -> str:
         "chern(R)        resolution oracle: c2=%d c3=%d%s" % (
             oracle.c2, oracle.c3,
             "" if closed is None else
-            " | closed form: c2=%d c3=%s" % (closed[0], closed[1])),
+            " | closed form: c2=%d c3=%s" % (closed[0], halved(closed[1])[0])),
         "deg(L)          %d" % report.deg_l,
         "chi(L)          %d" % report.chi_l,
         "chi Hom(F,L)    %d" % report.chi_hom_fl,

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import enum
 from collections import namedtuple
-from fractions import Fraction
 
 from .curvecoh import (
     CompleteIntersection,
@@ -47,6 +46,7 @@ from .families import (
     dim_paut,
     ext_profile,
     half_c3,
+    halved,
 )
 from .p3rr import (CertificateError, ChernData, chern_from_values, chi_o_p3,
                    hp_value)
@@ -226,7 +226,7 @@ class ComponentReport(namedtuple("ComponentReport", (
         "dim_component dim_tangent verdicts signature erratum_notes "
         "reflexive_chern reflexive_chern_closed normal_bundle_h1"))):
     """Everything assemble_report derives for one descriptor; the closed
-    form is (c2, c3) with c3 a Fraction, or None for the extension family."""
+    form is (c2, 2*c3) in integers, or None for the extension family."""
 
     __slots__ = ()
 
@@ -379,18 +379,20 @@ def stability_margin(d: ComponentDescriptor) -> tuple[int, int]:
 
 def _run_notes(
     reflexive: ReflexiveFamily, curve: CurveFamily, chern_r: ChernData,
-    closed: tuple[int, Fraction] | None,
+    closed: tuple[int, int] | None,
 ) -> tuple[ErratumNote, ...]:
     """The erratum notes that every report of the (R, C) run carries."""
     notes = []
     oracle = chern_r.c3
-    if closed is not None and closed[1] != oracle:
+    if closed is not None and closed[1] != 2 * oracle:
         tag = reflexive_tag(reflexive)
+        text, den, num = halved(closed[1])
         notes.append(ErratumNote(
             code="closed-form-c3-mismatch",
             message=("closed-form c3 for %s gives %s; the resolution route "
-                     "gives %d and is used" % (tag, closed[1], oracle)),
-            values=(("triple", tag), ("closed_form", closed[1]),
+                     "gives %d and is used" % (tag, text, oracle)),
+            values=(("triple", tag),
+                    ("closed_form", (("den", den), ("num", num))),
                     ("resolution_oracle", oracle)),
         ))
     if curve.degree < DEFAULT_MIN_CURVE_DEGREE:

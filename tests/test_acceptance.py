@@ -6,6 +6,7 @@ wall-clock bounds.
 """
 
 import functools
+import io
 import json
 import time
 from fractions import Fraction
@@ -36,7 +37,7 @@ from sheafatlas.families import (
     half_c3,
 )
 from sheafatlas.p3rr import chi_o_p3
-from sheafatlas.render import atlas_json
+from sheafatlas.render import write_atlas
 from sheafatlas.transform import ComponentDescriptor, chi_hom_fl, chi_l
 
 
@@ -85,16 +86,18 @@ def test_criterion_02_c3_audit():
     start = time.perf_counter()
     for (a, b, c) in admissible_triples(30):
         if a * b == 0 and a * c == 0 and b * c == 0:
-            _, closed_c3 = chern_sabc_closed(a, b, c)
-            assert closed_c3 == chern_of(SplitResolution(a, b, c)).c3
+            _, twice_c3 = chern_sabc_closed(a, b, c)
+            assert twice_c3 == 2 * chern_of(SplitResolution(a, b, c)).c3
     # the documented mismatch is reproduced and reported, never swallowed
-    assert chern_sabc_closed(1, 0, 1) == (9, Fraction(77, 2))
+    assert chern_sabc_closed(1, 0, 1) == (9, 77)
     assert chern_of(SplitResolution(1, 0, 1)).c3 == 40
     from sheafatlas.transform import build_report
     report = build_report(
         ComponentDescriptor(SplitResolution(1, 0, 1), RationalCurve(2), 0))
     note = {n.code: n for n in report.erratum_notes}["closed-form-c3-mismatch"]
-    assert note.value("closed_form") == Fraction(77, 2)
+    closed = dict(note.value("closed_form"))
+    assert Fraction(closed["num"], closed["den"]) == Fraction(77, 2)
+    assert "gives 77/2;" in note.message
     assert note.value("resolution_oracle") == 40
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, "took %.3fs" % elapsed
@@ -219,9 +222,10 @@ def test_criterion_10_completeness_and_determinism(atlases):
     # byte-identical serialization across repeated runs
     for k in (3, 7, 12):
         opts = EnumerationOptions(k=k)
-        first = atlas_json(enumerate_components(opts))
-        second = atlas_json(enumerate_components(opts))
-        assert first == second
+        first, second = io.StringIO(), io.StringIO()
+        write_atlas(opts, enumerate_components(opts).reports, "json", first)
+        write_atlas(opts, enumerate_components(opts).reports, "json", second)
+        assert first.getvalue() == second.getvalue()
 
 
 def brute_force_descriptors(k):

@@ -1,5 +1,7 @@
 """Enumeration: Diophantine search, canonical order, verification suite."""
 
+import io
+
 import pytest
 
 from sheafatlas import atlas, families, render
@@ -85,7 +87,9 @@ def test_enumerate_k4():
         ComponentDescriptor(IdealExtension(1), CompleteIntersection(1, 3), 1),
     ]
     assert [r.descriptor for r in atlas.reports] == expected
-    assert render.atlas_table(atlas).endswith(
+    table = io.StringIO()
+    render.write_atlas(atlas.options, atlas.reports, "table", table)
+    assert table.getvalue().endswith(
         "\n5 component(s) for c2 = 4\n"
         "  S over R: 2\n  V over CI: 2\n  V over R: 1\n")
 

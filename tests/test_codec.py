@@ -1,5 +1,6 @@
 """The descriptor codec: every tag round-trips, malformed tags are refused."""
 
+import io
 import itertools
 import re
 from collections import Counter
@@ -7,7 +8,7 @@ from collections import Counter
 import pytest
 
 from sheafatlas.atlas import EnumerationOptions, enumerate_components
-from sheafatlas.render import atlas_table
+from sheafatlas.render import write_atlas
 from sheafatlas.transform import (
     curve_tag,
     parse_curve,
@@ -26,7 +27,9 @@ def test_every_enumerated_family_round_trips():
             for r in atlas.reports
         )
         # the table's footer: the count, then one line per kind pair
-        _, count, footer = atlas_table(atlas).partition(
+        table = io.StringIO()
+        write_atlas(atlas.options, atlas.reports, "table", table)
+        _, count, footer = table.getvalue().partition(
             "\n%d component(s) for c2 = %d\n" % (len(atlas.reports), k))
         assert count, (k, floor)
         assert [line for line in footer.splitlines() if " over " in line] == [

@@ -70,9 +70,10 @@ def test_chern_of_rejects_a_non_riemann_roch_sum(monkeypatch):
 
 
 def test_closed_form_examples():
-    assert chern_sabc_closed(0, 0, 2) == (2, Fraction(4))
-    assert chern_sabc_closed(0, 1, 0) == (3, Fraction(8))
-    assert chern_sabc_closed(1, 0, 1) == (9, Fraction(77, 2))
+    # (c2, 2*c3): c3 = 4, 8 and 77/2
+    assert chern_sabc_closed(0, 0, 2) == (2, 8)
+    assert chern_sabc_closed(0, 1, 0) == (3, 16)
+    assert chern_sabc_closed(1, 0, 1) == (9, 77)
 
 
 def literal_closed_form(a, b, c):
@@ -92,11 +93,12 @@ def test_closed_form_matches_the_literal_expression():
     triples = list(admissible_triples(30))
     assert len(triples) == 545
     for (a, b, c) in triples:
-        c2, c3 = chern_sabc_closed(a, b, c)
-        assert type(c3) is Fraction
-        assert (c2, c3) == literal_closed_form(a, b, c)
+        c2, twice_c3 = chern_sabc_closed(a, b, c)
+        assert type(twice_c3) is int
+        assert (c2, Fraction(twice_c3, 2)) == literal_closed_form(a, b, c)
     # the known disagreement stays visible: 77/2 against the oracle's 40
-    assert chern_sabc_closed(1, 0, 1)[1] != chern_of(SplitResolution(1, 0, 1)).c3
+    assert (chern_sabc_closed(1, 0, 1)[1]
+            != 2 * chern_of(SplitResolution(1, 0, 1)).c3)
 
 
 def test_chern_of_examples():
@@ -115,8 +117,8 @@ def test_closed_form_c2_always_agrees():
 def test_closed_form_c3_single_exponent_agrees():
     for (a, b, c) in admissible_triples(30):
         if a * b == 0 and a * c == 0 and b * c == 0:
-            _, closed_c3 = chern_sabc_closed(a, b, c)
-            assert closed_c3 == chern_of(SplitResolution(a, b, c)).c3
+            _, twice_c3 = chern_sabc_closed(a, b, c)
+            assert twice_c3 == 2 * chern_of(SplitResolution(a, b, c)).c3
 
 
 def test_c3_parity_and_positivity():

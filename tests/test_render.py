@@ -23,8 +23,8 @@ from sheafatlas.atlas import (
 from sheafatlas.render import (
     CSV_HEADER,
     SCHEMA_VERSION,
-    atlas_json,
     report_json,
+    report_table,
     verification_text,
     write_atlas,
 )
@@ -45,6 +45,9 @@ def _value(value):
     if isinstance(value, Fraction):
         return {"num": value.numerator, "den": value.denominator}
     if isinstance(value, tuple):
+        if value and all(isinstance(p, tuple) and len(p) == 2
+                         and isinstance(p[0], str) for p in value):
+            return {k: _value(v) for k, v in value}
         return [_value(v) for v in value]
     return value
 
@@ -68,7 +71,7 @@ def report_oracle(report):
             "resolution_oracle": _chern(report.reflexive_chern),
             "closed_form": None if closed is None else {
                 "c2": closed[0],
-                "c3": _value(closed[1]),
+                "c3": _value(Fraction(closed[1], 2)),
             },
         },
         "deg_L": report.deg_l,
@@ -121,6 +124,13 @@ def descriptor(reflexive, curve, s):
                                s)
 
 
+def written(atlas, fmt):
+    """An atlas already in memory, as write_atlas writes it."""
+    out = io.StringIO()
+    write_atlas(atlas.options, atlas.reports, fmt, out)
+    return out.getvalue()
+
+
 def streamed(opts, fmt):
     """What `enumerate` writes: the walk's reports, one at a time."""
     out = io.StringIO()
@@ -133,11 +143,11 @@ def test_atlas_json_is_the_oracle_tree(floor):
     for k in range(3, 17):
         atlas = enumerate_components(EnumerationOptions(k, floor))
         text = oracle_text(atlas_oracle(atlas))
-        assert atlas_json(atlas) == text, k
+        assert written(atlas, "json") == text, k
         assert streamed(atlas.options, "json") == text, k
     # k = 3 with floor 3 is the empty atlas
-    assert json.loads(atlas_json(enumerate_components(
-        EnumerationOptions(3, 3))))["reports"] == []
+    assert json.loads(written(enumerate_components(
+        EnumerationOptions(3, 3)), "json"))["reports"] == []
 
 
 def test_the_empty_atlas_streams_its_header_only():
@@ -159,7 +169,7 @@ def test_atlas_json_dumps_only_the_header_and_the_notes(monkeypatch):
     for k, floor in ((12, 2), (3, 1), (10, 1)):
         atlas = enumerate_components(EnumerationOptions(k, floor))
         calls.clear()
-        atlas_json(atlas)
+        written(atlas, "json")
         with_notes = [r for r in atlas.reports if r.erratum_notes]
         runs = {(r.descriptor.reflexive, r.descriptor.curve)
                 for r in with_notes if r.descriptor != M3_DESCRIPTOR}
@@ -177,25 +187,33 @@ def test_a_verdict_every_ledger_shares_is_written_once(monkeypatch):
     real, calls = render._str, []
     monkeypatch.setattr(render, "_str",
                         lambda text: calls.append(text) or real(text))
-    atlas_json(atlas)
+    written(atlas, "json")
     assert calls.count("open dense subset of Hom(F, Q)") == 1
     assert calls.count("surjection-exists") == 1
     assert calls.count("points-bound") == len(atlas.reports)
 
 
-@pytest.mark.parametrize("reflexive, curve, s, code, closed_form", [
-    ("V:1", "R:2", 0, "published-m3-values", None),
+@pytest.mark.parametrize("reflexive, curve, s, code, closed_form, c3", [
+    ("V:1", "R:2", 0, "published-m3-values", None, None),
     ("S:1,0,1", "R:3", 1, "closed-form-c3-mismatch",
-     {"c2": 9, "c3": {"den": 2, "num": 77}}),
-], ids=["m3", "split-77/2"])
+     {"c2": 9, "c3": {"den": 2, "num": 77}}, "77/2"),
+    ("S:0,1,2", "R:2", 0, "closed-form-c3-mismatch",
+     {"c2": 7, "c3": {"den": 1, "num": 34}}, "34"),
+], ids=["m3", "split-77/2", "split-34"])
 def test_erratum_probe_report_json_is_the_oracle_tree(reflexive, curve, s,
-                                                      code, closed_form):
+                                                      code, closed_form, c3):
     report = build_report(descriptor(reflexive, curve, s))
     assert [n.code for n in report.erratum_notes] == [code]
     text = report_json(report)
     assert text == report_oracle_text(report)
     routes = json.loads(text)["report"]["chern_routes"]
     assert routes["closed_form"] == closed_form
+    if c3 is not None:
+        # the describe table and the note write the closed c3 the same way
+        assert (" | closed form: c2=%d c3=%s\n" % (closed_form["c2"], c3)
+                in report_table(report))
+        assert ("closed-form c3 for %s gives %s;" % (reflexive, c3)
+                in report.erratum_notes[0].message)
 
 
 def test_inadmissible_best_effort_report_json_is_the_oracle_tree():

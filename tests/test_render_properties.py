@@ -2,8 +2,6 @@
 text, any integer size, empty and non-empty lists.  Test-only: the package
 stays stdlib-only."""
 
-from fractions import Fraction
-
 import pytest
 
 from sheafatlas.p3rr import ChernData
@@ -26,11 +24,13 @@ TEXT = st.one_of(
     st.text(),
     st.text(alphabet='"\\\n\t\x00\x1f\x7f/é \U0001d11e', max_size=12),
 )
-FRACTION = st.builds(Fraction, INT, INT.filter(bool))
 CHERN = st.builds(lambda rank, c1, c2, half_c3: ChernData(rank, c1, c2,
                                                           2 * half_c3),
                   st.integers(0, 2 ** 80), INT, INT, INT)
-VALUE = st.one_of(INT, FRACTION, TEXT, st.lists(INT, max_size=3).map(tuple))
+# a non-empty tuple of (str, value) pairs is written as a JSON object
+OBJECT = st.lists(st.tuples(TEXT, st.one_of(INT, TEXT)), min_size=1,
+                  max_size=3).map(tuple)
+VALUE = st.one_of(INT, OBJECT, TEXT, st.lists(INT, max_size=3).map(tuple))
 NOTE = st.builds(ErratumNote, TEXT, TEXT,
                  st.lists(st.tuples(TEXT, VALUE), max_size=3).map(tuple))
 VERDICT = st.builds(ConditionVerdict, TEXT, st.sampled_from(ConditionStatus),
@@ -47,7 +47,7 @@ DESCRIPTOR = st.builds(
 @given(
     d=DESCRIPTOR, ints=st.lists(INT, min_size=9, max_size=9),
     chern_e=CHERN, chern_r=CHERN,
-    closed=st.one_of(st.none(), st.tuples(INT, FRACTION)),
+    closed=st.one_of(st.none(), st.tuples(INT, INT)),
     verdicts=st.lists(VERDICT, max_size=3).map(tuple),
     curve_parts=st.lists(st.tuples(INT, INT), max_size=3).map(tuple),
     notes=st.lists(NOTE, max_size=2).map(tuple),

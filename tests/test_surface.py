@@ -99,9 +99,11 @@ def test_no_value_rebuilds_in_package(path):
 
 
 def test_cli_import_skips_dataclasses_and_inspect():
-    # each command is a fresh process, so start-up is paid on every call
+    # each command is a fresh process, so start-up is paid on every call;
+    # the package computes in int, so the rational stack stays unloaded too
     script = ("import sys; sys.path.insert(0, %r); import sheafatlas.cli; "
-              "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+              "print(sorted({'dataclasses', 'inspect', 'fractions', "
+              "'decimal', 'numbers'} & set(sys.modules)))"
               % str(PACKAGE.parent))
     proc = subprocess.run([sys.executable, "-S", "-c", script],
                           capture_output=True, text=True, check=True)
@@ -154,12 +156,13 @@ def test_the_guard_sees_module_level_fractions():
     assert absolute_imports(source) == ["fractions"]
 
 
-@pytest.mark.parametrize("name", ["exactpoly", "p3rr"])
-def test_integer_core_does_not_import_fractions(name):
-    # The Riemann-Roch core computes in int, at module level and inside
-    # every function; Fraction is for the closed-form c3 audit and the JSON
-    # rationals, and the power-basis view lives with the tests.
-    source = (PACKAGE / ("%s.py" % name)).read_text(encoding="utf-8")
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.stem)
+def test_integer_core_does_not_import_fractions(path):
+    # Every module computes in int, at module level and inside every
+    # function: the half-integral closed-form c3 travels as 2*c3, and the
+    # power-basis view lives with the tests.
+    source = path.read_text(encoding="utf-8")
     assert "fractions" not in absolute_imports(source)
 
 

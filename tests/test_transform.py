@@ -299,7 +299,9 @@ def test_build_report_mixed_triple_notes_mismatch():
     codes = [n.code for n in report.erratum_notes]
     assert codes == ["closed-form-c3-mismatch"]
     note = report.erratum_notes[0]
-    assert note.value("closed_form") == Fraction(77, 2)
+    assert note.value("closed_form") == (("den", 2), ("num", 77))
+    closed = dict(note.value("closed_form"))
+    assert Fraction(closed["num"], closed["den"]) == Fraction(77, 2)
     assert note.value("resolution_oracle") == 40
 
 
