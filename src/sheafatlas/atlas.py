@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterator
-from itertools import zip_longest
+from itertools import chain, zip_longest
 
 from .curvecoh import CompleteIntersection, CurveFamily, RationalCurve, genus
 from .families import (
@@ -158,12 +158,20 @@ def enumerate_components(opts: EnumerationOptions) -> Atlas:
 
 
 def _check(name: str, cases, holds, label) -> CheckResult:
-    """Count the cases for which holds(case) is true, and label(case) only
-    the first ten that fail.  A None case always holds: it is the one
-    vacuous pass some checks report when they have no case of their own."""
-    failing = [c for c in cases if c is not None and not holds(c)]
-    return CheckResult(name, len(cases) - len(failing), len(failing),
-                       tuple(label(c) for c in failing[:10]))
+    """Read cases once, as any iterable: count the cases for which
+    holds(case) is true, and label(case) only the first ten that fail, in
+    stream order.  A None case always holds: it is the one vacuous pass
+    some checks report when they have no case of their own."""
+    passed = failed = 0
+    labels = []
+    for c in cases:
+        if c is None or holds(c):
+            passed += 1
+        else:
+            failed += 1
+            if failed <= 10:
+                labels.append(label(c))
+    return CheckResult(name, passed, failed, tuple(labels))
 
 
 def _report_label(r: ComponentReport) -> str:
@@ -275,16 +283,20 @@ def verify_module_invariants() -> tuple[CheckResult, ...]:
     Serre duality on P^3 and on complete intersections, the h0/chi
     relation, the Riemann-Roch/Koszul agreement on curves, the Chern
     round trip, and the closed-form audits over the documented ranges.
+    Each suite reads a stream of its own, so no case list is ever held.
     """
     universe = [c for d in range(1, 17) for c in curve_families_of_degree(d)]
-    duality = [(ci, a) for ci in universe
-               if isinstance(ci, CompleteIntersection)
-               for a in range(curvecoh.canonical_twist(ci) + 5)]
-    twists = [(c, a) for c in universe if c.degree <= 12
-              for a in range(-6, 13)]
-    splits = [SplitResolution(*t)
-              for w in range(2, 31, 2) for t in _split_triples(w)]
-    fams = splits + [IdealExtension(m) for m in range(1, 21)]
+
+    def twists():
+        return ((c, a) for c in universe if c.degree <= 12
+                for a in range(-6, 13))
+
+    def splits():
+        return (SplitResolution(*t)
+                for w in range(2, 31, 2) for t in _split_triples(w))
+
+    def fams():
+        return chain(splits(), map(IdealExtension, range(1, 21)))
 
     def serre_dual(case) -> bool:
         ci, a = case
@@ -307,24 +319,27 @@ def verify_module_invariants() -> tuple[CheckResult, ...]:
         ("p3-h0-vs-chi", range(-30, 31),
          lambda j: h0_o_p3(j) == (chi_o_p3(j) if j >= 0 else 0),
          lambda j: "j=%d" % j),
-        ("chern-round-trip", [ChernData(2, 0, c2, c3)
+        ("chern-round-trip", (ChernData(2, 0, c2, c3)
                               for c2 in range(-20, 61)
-                              for c3 in range(-100, 301, 2)],
+                              for c3 in range(-100, 301, 2)),
          lambda c: chern_from_values(hp_value(c, 0), hp_value(c, 1)) == c,
          lambda c: "c2=%d c3=%d" % (c.c2, c.c3)),
-        ("curve-serre-duality", duality, serre_dual, _twist_label),
-        ("curve-chi-consistency", twists, chi_consistent, _twist_label),
-        ("curve-koszul-riemann-roch", [
-            (c, a) for c, a in twists if isinstance(c, CompleteIntersection)],
+        ("curve-serre-duality", (
+            (ci, a) for ci in universe if isinstance(ci, CompleteIntersection)
+            for a in range(curvecoh.canonical_twist(ci) + 5)),
+         serre_dual, _twist_label),
+        ("curve-chi-consistency", twists(), chi_consistent, _twist_label),
+        ("curve-koszul-riemann-roch", (
+            (c, a) for c, a in twists() if isinstance(c, CompleteIntersection)),
          koszul, _twist_label),
-        ("closed-form-c2-agreement", splits, _closed_c2_agrees,
+        ("closed-form-c2-agreement", splits(), _closed_c2_agrees,
          reflexive_tag),
-        ("closed-form-c3-single-exponent", [
-            f for f in splits if f.a * f.b == f.a * f.c == f.b * f.c == 0],
+        ("closed-form-c3-single-exponent", (
+            f for f in splits() if f.a * f.b == f.a * f.c == f.b * f.c == 0),
          lambda f: chern_sabc_closed(f.a, f.b, f.c)[1] == 2 * chern_of(f).c3,
          reflexive_tag),
-        ("euler-pairing-ranges", fams, euler_check, reflexive_tag),
-        ("family-c3-parity", fams, lambda f: chern_of(f).c3 % 2 == 0,
+        ("euler-pairing-ranges", fams(), euler_check, reflexive_tag),
+        ("family-c3-parity", fams(), lambda f: chern_of(f).c3 % 2 == 0,
          reflexive_tag),
     )
     return tuple(_check(*row) for row in rows)

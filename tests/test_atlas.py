@@ -1,10 +1,12 @@
 """Enumeration: Diophantine search, canonical order, verification suite."""
 
 import io
+import tracemalloc
+import types
 
 import pytest
 
-from sheafatlas import atlas, families, render
+from sheafatlas import atlas, curvecoh, families, render
 from sheafatlas.atlas import (
     EnumerationOptions,
     curve_families_of_degree,
@@ -13,7 +15,11 @@ from sheafatlas.atlas import (
     verify_atlas,
     verify_module_invariants,
 )
-from sheafatlas.curvecoh import CompleteIntersection, RationalCurve
+from sheafatlas.curvecoh import (
+    CompleteIntersection,
+    CurveCohomology,
+    RationalCurve,
+)
 from sheafatlas.families import (
     IdealExtension,
     SplitResolution,
@@ -314,4 +320,92 @@ def test_chern_round_trip_can_fail(monkeypatch):
     checks = {c.name: c for c in verify_module_invariants()}
     broken = checks.pop("chern-round-trip")
     assert (broken.passed, broken.failed) == (0, 16281)
+    assert broken.failures == tuple(
+        "c2=-20 c3=%d" % c3 for c3 in range(-100, -80, 2))
     assert all(c.failed == 0 for c in checks.values())
+
+
+def test_check_reads_a_one_shot_stream_once():
+    labelled = []
+
+    def label(n):
+        labelled.append(n)
+        return "n=%d" % n
+    stream = (n for n in range(25))
+    result = atlas._check("odd", stream, lambda n: n % 2 == 1, label)
+    assert (result.passed, result.failed) == (12, 13)
+    assert result.failures == tuple("n=%d" % n for n in range(0, 20, 2))
+    assert labelled == list(range(0, 20, 2))
+    assert next(stream, None) is None
+
+
+def test_module_suite_case_counts():
+    assert {c.name: c.passed + c.failed
+            for c in verify_module_invariants()} == {
+        "p3-serre-duality": 61,
+        "p3-h0-vs-chi": 61,
+        "chern-round-trip": 16281,
+        "curve-serre-duality": 250,
+        "curve-chi-consistency": 551,
+        "curve-koszul-riemann-roch": 323,
+        "closed-form-c2-agreement": 545,
+        "closed-form-c3-single-exponent": 35,
+        "euler-pairing-ranges": 565,
+        "family-c3-parity": 565,
+    }
+
+
+def test_module_suites_hold_no_case_list():
+    # the chern-round-trip cases alone take about 1.8 MB when held in a list
+    chern_of.cache_clear()
+    tracemalloc.start()
+    try:
+        verify_module_invariants()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000
+
+
+def _curvecoh_with(name, wrap):
+    """atlas's view of curvecoh, with one function replaced by wrap(real)."""
+    return lambda real: types.SimpleNamespace(
+        **{**vars(real), name: wrap(getattr(real, name))})
+
+
+@pytest.mark.parametrize("module, name, wrap, broken", [
+    (atlas, "chi_o_p3", lambda real: lambda j: real(j) + 1,
+     {"p3-serre-duality": (0, 61), "p3-h0-vs-chi": (30, 31)}),
+    (atlas, "h0_o_p3", lambda real: lambda j: real(j) + 1,
+     {"p3-h0-vs-chi": (0, 61)}),
+    (atlas, "curvecoh", _curvecoh_with(
+        "cohomology_oc", lambda real: lambda c, a: CurveCohomology(
+            real(c, a).h0, real(c, a).h1 + 1)),
+     {"curve-serre-duality": (0, 250), "curve-chi-consistency": (0, 551)}),
+    (atlas, "curvecoh", _curvecoh_with(
+        "chi_oc", lambda real: lambda c, a: real(c, a) + 1),
+     {"curve-chi-consistency": (0, 551),
+      "curve-koszul-riemann-roch": (0, 323)}),
+    (atlas, "chern_sabc_closed",
+     lambda real: lambda a, b, c: (real(a, b, c)[0] + 1, real(a, b, c)[1]),
+     {"closed-form-c2-agreement": (0, 545)}),
+    (atlas, "chern_sabc_closed",
+     lambda real: lambda a, b, c: (real(a, b, c)[0], real(a, b, c)[1] + 2),
+     {"closed-form-c3-single-exponent": (0, 35)}),
+    # atlas binds only the predicate euler_check; its data come from families
+    (families, "dim_moduli", lambda real: lambda f: real(f) + 1,
+     {"euler-pairing-ranges": (0, 565)}),
+    # _replace skips the parity check ChernData.__new__ makes
+    (atlas, "chern_of", lambda real: lambda f: real(f)._replace(
+        c3=real(f).c3 + 1),
+     {"closed-form-c3-single-exponent": (0, 35),
+      "family-c3-parity": (0, 565)}),
+], ids=["chi-o-p3", "h0-o-p3", "curve-h1", "chi-oc", "closed-c2",
+        "closed-c3", "dim-moduli", "odd-c3"])
+def test_module_suites_can_fail(monkeypatch, module, name, wrap, broken):
+    # every failing case reaches its suite's predicate through the stream
+    monkeypatch.setattr(module, name, wrap(getattr(module, name)))
+    checks = {c.name: c for c in verify_module_invariants()}
+    assert {n: (c.passed, c.failed)
+            for n, c in checks.items() if c.failed} == broken
+    assert all(len(checks[n].failures) == 10 for n in broken)
