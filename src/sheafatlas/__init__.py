@@ -6,16 +6,16 @@ All arithmetic is exact and done in integers; the closed-form c3, which can
 be half-integral, is carried as 2*c3.  Every Chern number is read off
 integer values of a Hilbert polynomial through the Riemann-Roch dictionary
 in `p3rr`.  `HilbertPolynomial` is exported but used by no module of the
-package.  Every closed-form formula is cross-checked against an
-independent route, and disagreements are reported rather than repaired.
+package.  Closed-form formulas are compared with a second route, and
+disagreements are reported rather than repaired.  The section-count and
+tangent-dimension comparisons restate their first route instead; ROADMAP
+item 4 lists the independent routes meant to replace them.
 """
 
 from .atlas import (
-    Atlas,
     EnumerationOptions,
     VerificationSummary,
     curve_families_of_degree,
-    enumerate_components,
     iter_components,
     solve_sabc,
     verify_atlas,
@@ -38,7 +38,6 @@ from .transform import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Atlas",
     "CertificateError",
     "ChernData",
     "CompleteIntersection",
@@ -60,7 +59,6 @@ __all__ = [
     "build_report",
     "chi_o_p3",
     "curve_families_of_degree",
-    "enumerate_components",
     "h0_o_p3",
     "iter_components",
     "solve_sabc",

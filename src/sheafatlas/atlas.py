@@ -4,8 +4,7 @@ For a target k, every admissible descriptor has c2(R) + deg(C) = k, the
 point count bounded by n = c3(R)/2 (strictly for rational curves), and
 m < deg(C) whenever the reflexive side is an ideal extension.  Enumeration
 walks all of these in a canonical order so that two runs with equal options
-produce identical atlases.  An `Atlas` is its options and its reports in
-that order; k and the per-kind tally are read off them, not stored.
+produce identical atlases.
 """
 
 from __future__ import annotations
@@ -40,12 +39,6 @@ from .transform import (
     stability_margin,
 )
 
-# Previously published component count of the c2 = 3 moduli space; the
-# enumeration here adds one more, so the total is at least 11.  Stored as a
-# literature constant, never computed.
-PUBLISHED_M3_PRIOR_COMPONENTS = 10
-
-
 class EnumerationOptions(namedtuple("EnumerationOptions",
                                      "k min_curve_degree")):
     """Options for one enumeration run.
@@ -64,12 +57,6 @@ class EnumerationOptions(namedtuple("EnumerationOptions",
             raise ValueError("the component series starts at c2 = 3")
         transform.check_curve_degree_floor(min_curve_degree)
         return tuple.__new__(cls, (k, min_curve_degree))
-
-
-class Atlas(namedtuple("Atlas", "options reports")):
-    """One enumeration: its options and its reports in canonical order."""
-
-    __slots__ = ()
 
 
 class CheckResult(namedtuple("CheckResult", "name passed failed failures",
@@ -152,11 +139,6 @@ def iter_components(opts: EnumerationOptions) -> Iterator[ComponentReport]:
                         min_curve_degree=opts.min_curve_degree, run=run)
 
 
-def enumerate_components(opts: EnumerationOptions) -> Atlas:
-    """The whole atlas of iter_components(opts), held in memory."""
-    return Atlas(opts, tuple(iter_components(opts)))
-
-
 def _check(name: str, cases, holds, label) -> CheckResult:
     """Read cases once, as any iterable: count the cases for which
     holds(case) is true, and label(case) only the first ten that fail, in
@@ -203,18 +185,10 @@ def _walks_again(opts: EnumerationOptions, reports) -> bool:
 
 
 def verify_atlas(opts: EnumerationOptions) -> VerificationSummary:
-    """Run the invariant suite over one atlas.
-
-    Hard checks cover the additivity of c2, vanishing c3 of the transformed
-    sheaves, the two-route section count, the tangent/component dimension
-    equality, the degree identity of the twisted canonical bundle, the
-    Euler pairing, parity, each family's presentation against the
-    Riemann-Roch values of its Chern data, the positivity of the stability
-    margin, descriptor uniqueness and rerun determinism.  Closed-form c3
+    """Run the invariant suite over one atlas.  Closed-form c3
     disagreements and literature discrepancies are collected as notes, not
-    failures.
-    """
-    reports = enumerate_components(opts).reports
+    failures."""
+    reports = tuple(iter_components(opts))
     families_seen = sorted({r.descriptor.reflexive for r in reports},
                            key=reflexive_tag)
     # canonical order lists each (R, C) as one run with s ascending
@@ -277,14 +251,8 @@ def verify_atlas(opts: EnumerationOptions) -> VerificationSummary:
 
 
 def verify_module_invariants() -> tuple[CheckResult, ...]:
-    """The module-level identity suites, independent of any atlas.
-
-    These repeat the cross-checks that pin down the calculus itself:
-    Serre duality on P^3 and on complete intersections, the h0/chi
-    relation, the Riemann-Roch/Koszul agreement on curves, the Chern
-    round trip, and the closed-form audits over the documented ranges.
-    Each suite reads a stream of its own, so no case list is ever held.
-    """
+    """The module-level identity suites, independent of any atlas.  Each
+    suite reads a stream of its own, so no case list is ever held."""
     universe = [c for d in range(1, 17) for c in curve_families_of_degree(d)]
 
     def twists():

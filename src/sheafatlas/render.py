@@ -14,9 +14,6 @@ sort_keys=True) gives for the same tree, without building the tree: only
 erratum notes, whose values vary in shape, go through json.dumps, once for
 each run of reports that share one notes tuple, as does the atlas header,
 once.
-
-An atlas is written by `write_atlas` to a text stream as a report iterator
-yields its reports, so `enumerate` never holds the whole atlas or its text.
 """
 
 from __future__ import annotations
@@ -28,14 +25,11 @@ from collections import Counter
 from collections.abc import Iterable
 from json.encoder import encode_basestring_ascii as _str
 
-from .atlas import (
-    PUBLISHED_M3_PRIOR_COMPONENTS,
-    EnumerationOptions,
-    VerificationSummary,
-)
+from .atlas import EnumerationOptions, VerificationSummary
 from .families import halved
 from .transform import (
     M3_DESCRIPTOR,
+    PUBLISHED_M3_PRIOR_COMPONENTS,
     ComponentReport,
     ConditionVerdict,
     ErratumNote,

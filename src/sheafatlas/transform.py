@@ -7,21 +7,10 @@ surjection from a family member F onto L + O_W, where L is a line bundle on
 the curve and W is a set of s points.  Everything derived from that datum
 is computed here.
 
-The reports over one (R, C) pair form a run, s = 0..n.  `component_run`
-derives once per run what does not vary with s: the Chern data of R and E,
-the genus and normal cohomology of C, the Ext profile, dim R - dim PAut(F),
-the closed form, the run's erratum notes and the curve part of the
-singularity signature, with the c3(E) = 0, c2(E) = c2(R) + deg(C) and
-closed-form c2 certificates, which then hold for every s.
-`assemble_report` is the one place a report's numbers are derived, each
-once, as the member at s of its run: chi(L), chi(Hom(F, L)) with its
-two-route check, the orbit, component and tangent dimensions with their
-equality check, the signature, the admissibility ledger `check_conditions`
-(which passes n = c3(R)/2 to `max_points`) and the published-m3-values
-note.  Chern numbers and the stability margin are read off integer values
-of Hilbert polynomials through the dictionary in `p3rr`, so no polynomial
-object is built here.  `verify` also calls `chi_hom_fl` and
-`stability_margin`; `describe` calls `check_conditions`.
+The reports over one (R, C) pair form a run, s = 0..n; what does not vary
+with s is derived and certified once per run.  Chern numbers and the
+stability margin are read off integer values of Hilbert polynomials
+through the dictionary in `p3rr`, so no polynomial object is built here.
 """
 
 from __future__ import annotations
@@ -59,6 +48,10 @@ DEFAULT_MIN_CURVE_DEGREE = 2
 # difference instead of asserting either number silently.
 PUBLISHED_M3_DIMENSION = 21
 PUBLISHED_M3_SPECTRUM = (-1, 0, 1)
+# Previously published component count of the c2 = 3 moduli space; the
+# enumeration here adds one more, so the total is at least 11.  Stored as a
+# literature constant, never computed.
+PUBLISHED_M3_PRIOR_COMPONENTS = 10
 
 
 class ConditionStatus(enum.Enum):
@@ -268,10 +261,12 @@ def chi_hom_fl(d: ComponentDescriptor, chi: int) -> int:
     families.
 
     F restricts trivially to a general curve, which gives the 2*chi(L)
-    route.  For the split family the resolution gives an independent
-    route, (a+b+c+2)*chi(L(k)) minus the three twisted terms with
-    chi(L(j)) = chi(L) + j*deg(C); the two must agree exactly because
-    3a + 2b + c = 2k.
+    route.  For the split family the resolution gives a second expression,
+    (a+b+c+2)*chi(L(k)) minus the three twisted terms with
+    chi(L(j)) = chi(L) + j*deg(C).  It is not an independent route: its
+    difference from 2*chi(L) is deg(C)*(2k - 3a - 2b - c), which
+    SplitResolution forces to 0, so the comparison restates that constraint
+    (ROADMAP item 4 lists the routes meant to replace it).
     """
     value = 2 * chi
     fam = d.reflexive
@@ -525,9 +520,11 @@ def assemble_report(d: ComponentDescriptor,
       plus the Ext^1(F,F) block of the Ext profile; h1(Hom(E,E)) = 1
       - h0(Hom(F,F)) + h0(Hom(F,Q)) - h0(Hom(Q,Q)) + h1(Hom(Q,Q)) with
       h0(Hom(F,Q)) = chi(Hom(F,L)) + 2s, h0(Hom(Q,Q)) = 1 + s and
-      h1(Hom(Q,Q)) = g.  Agreement with the component dimension, checked
-      at every s, certifies the whole assembly; a mismatch raises
-      CertificateError.
+      h1(Hom(Q,Q)) = g.  Its difference from the component dimension is
+      dim_fixed - tangent_fixed at every s, that is hom - 1 - dim PAut(F)
+      with ext1 = dim R, all fixed per family kind in `families`, so the
+      comparison (a mismatch raises CertificateError) restates those
+      constants rather than an independent route.
     - Sing(E) is the curve (deg C, g), the s points of W and the singular
       points of the reflexive hull, of weight c3(R).
     - The verdicts are the full ledger of d.  The published-m3-values note

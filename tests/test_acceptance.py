@@ -15,7 +15,7 @@ import pytest
 
 from sheafatlas.atlas import (
     EnumerationOptions,
-    enumerate_components,
+    iter_components,
     solve_sabc,
 )
 from sheafatlas.cli import main
@@ -64,8 +64,8 @@ def admissible_triples(max_weight):
 
 @pytest.fixture(scope="module")
 def atlases():
-    return [enumerate_components(EnumerationOptions(k=k))
-            for k in range(3, 13)]
+    return {k: tuple(iter_components(EnumerationOptions(k=k)))
+            for k in range(3, 13)}
 
 
 @criterion(1, "closed-form c2 equals the resolution oracle, weight <= 30")
@@ -108,7 +108,7 @@ def test_criterion_03_transformation_bookkeeping():
     start = time.perf_counter()
     count = 0
     for k in range(3, 13):
-        for report in enumerate_components(EnumerationOptions(k=k)).reports:
+        for report in iter_components(EnumerationOptions(k=k)):
             d = report.descriptor
             assert report.chern_e.c1 == 0
             assert report.chern_e.c3 == 0
@@ -123,8 +123,8 @@ def test_criterion_03_transformation_bookkeeping():
 @criterion(4, "both section-count routes agree on all split descriptors")
 def test_criterion_04_two_route_equality(atlases):
     checked = 0
-    for atlas in atlases:
-        for report in atlas.reports:
+    for reports in atlases.values():
+        for report in reports:
             d = report.descriptor
             if not isinstance(d.reflexive, SplitResolution):
                 continue
@@ -145,17 +145,17 @@ def test_criterion_04_two_route_equality(atlases):
 
 @criterion(5, "tangent-space assembly equals the parameter count, k <= 12")
 def test_criterion_05_tangent_equality(atlases):
-    for atlas in atlases:
-        for report in atlas.reports:
+    for reports in atlases.values():
+        for report in reports:
             assert report.dim_component == report.dim_tangent
 
 
 @criterion(6, "c2 = 3 reproduces the single new component with dim 22")
 def test_criterion_06_m3_reproduction(capsys):
     start = time.perf_counter()
-    atlas = enumerate_components(EnumerationOptions(k=3))
-    assert len(atlas.reports) == 1
-    report = atlas.reports[0]
+    reports = tuple(iter_components(EnumerationOptions(k=3)))
+    assert len(reports) == 1
+    report = reports[0]
     assert report.descriptor == ComponentDescriptor(
         IdealExtension(1), RationalCurve(2), 0)
     assert report.chern_e.c2 == 3
@@ -206,8 +206,8 @@ def test_criterion_08_euler_pairing():
 
 @criterion(9, "twisted-canonical degree identity 2g-2+4d-2degL = 2(s-n)")
 def test_criterion_09_degree_identity(atlases):
-    for atlas in atlases:
-        for report in atlas.reports:
+    for reports in atlases.values():
+        for report in reports:
             d = report.descriptor
             lhs = (2 * genus(d.curve) - 2 + 4 * d.curve.degree
                    - 2 * report.deg_l)
@@ -216,15 +216,15 @@ def test_criterion_09_degree_identity(atlases):
 
 @criterion(10, "enumeration equals the brute-force scan; runs are identical")
 def test_criterion_10_completeness_and_determinism(atlases):
-    for atlas in atlases:
-        enumerated = {r.descriptor for r in atlas.reports}
-        assert enumerated == brute_force_descriptors(atlas.options.k)
+    for k, reports in atlases.items():
+        enumerated = {r.descriptor for r in reports}
+        assert enumerated == brute_force_descriptors(k)
     # byte-identical serialization across repeated runs
     for k in (3, 7, 12):
         opts = EnumerationOptions(k=k)
         first, second = io.StringIO(), io.StringIO()
-        write_atlas(opts, enumerate_components(opts).reports, "json", first)
-        write_atlas(opts, enumerate_components(opts).reports, "json", second)
+        write_atlas(opts, iter_components(opts), "json", first)
+        write_atlas(opts, iter_components(opts), "json", second)
         assert first.getvalue() == second.getvalue()
 
 

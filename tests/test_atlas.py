@@ -10,7 +10,7 @@ from sheafatlas import atlas, curvecoh, families, render
 from sheafatlas.atlas import (
     EnumerationOptions,
     curve_families_of_degree,
-    enumerate_components,
+    iter_components,
     solve_sabc,
     verify_atlas,
     verify_module_invariants,
@@ -74,9 +74,9 @@ def test_curve_families_of_degree():
 
 
 def test_enumerate_k3():
-    atlas = enumerate_components(EnumerationOptions(k=3))
-    assert len(atlas.reports) == 1
-    report = atlas.reports[0]
+    reports = tuple(iter_components(EnumerationOptions(k=3)))
+    assert len(reports) == 1
+    report = reports[0]
     assert report.descriptor == ComponentDescriptor(
         IdealExtension(1), RationalCurve(2), 0)
     assert report.dim_component == 22
@@ -84,7 +84,8 @@ def test_enumerate_k3():
 
 
 def test_enumerate_k4():
-    atlas = enumerate_components(EnumerationOptions(k=4))
+    opts = EnumerationOptions(k=4)
+    reports = tuple(iter_components(opts))
     expected = [
         ComponentDescriptor(SplitResolution(0, 0, 2), RationalCurve(2), 0),
         ComponentDescriptor(SplitResolution(0, 0, 2), RationalCurve(2), 1),
@@ -92,17 +93,17 @@ def test_enumerate_k4():
         ComponentDescriptor(IdealExtension(1), CompleteIntersection(1, 3), 0),
         ComponentDescriptor(IdealExtension(1), CompleteIntersection(1, 3), 1),
     ]
-    assert [r.descriptor for r in atlas.reports] == expected
+    assert [r.descriptor for r in reports] == expected
     table = io.StringIO()
-    render.write_atlas(atlas.options, atlas.reports, "table", table)
+    render.write_atlas(opts, reports, "table", table)
     assert table.getvalue().endswith(
         "\n5 component(s) for c2 = 4\n"
         "  S over R: 2\n  V over CI: 2\n  V over R: 1\n")
 
 
 def test_enumerate_k3_high_floor_is_empty():
-    atlas = enumerate_components(EnumerationOptions(k=3, min_curve_degree=3))
-    assert atlas.reports == ()
+    assert tuple(iter_components(
+        EnumerationOptions(k=3, min_curve_degree=3))) == ()
 
 
 def test_k_floor_enforced():
@@ -112,17 +113,17 @@ def test_k_floor_enforced():
 
 def test_k_additivity_and_uniqueness():
     for k in range(3, 13):
-        atlas = enumerate_components(EnumerationOptions(k=k))
-        descriptors = [r.descriptor for r in atlas.reports]
+        reports = tuple(iter_components(EnumerationOptions(k=k)))
+        descriptors = [r.descriptor for r in reports]
         assert len(set(descriptors)) == len(descriptors)
-        for r in atlas.reports:
+        for r in reports:
             assert (chern_of(r.descriptor.reflexive).c2
                     + r.descriptor.curve.degree == k)
 
 
 def test_determinism():
     opts = EnumerationOptions(k=7)
-    assert enumerate_components(opts) == enumerate_components(opts)
+    assert tuple(iter_components(opts)) == tuple(iter_components(opts))
 
 
 @pytest.mark.parametrize("floor", [1, 2])
@@ -140,8 +141,8 @@ def test_enumerate_and_describe_take_one_route(floor):
 
 def test_brute_force_completeness():
     for k in range(3, 13):
-        atlas = enumerate_components(EnumerationOptions(k=k))
-        assert {r.descriptor for r in atlas.reports} == brute_force(k)
+        assert ({r.descriptor for r in iter_components(EnumerationOptions(k=k))}
+                == brute_force(k))
 
 
 def brute_force(k):
@@ -254,8 +255,8 @@ def test_empty_atlas_check_counts():
     lambda reports: reports + reports[-1:],
 ], ids=["one-short", "one-differs", "one-extra"])
 def test_rerun_determinism_can_fail(monkeypatch, second_walk):
-    # The first walk is held by enumerate_components; the second one is
-    # compared as it streams.
+    # The first walk is held by verify_atlas; the second one is compared as
+    # it streams.
     real, walks = atlas.iter_components, []
 
     def walk(opts):
@@ -290,7 +291,7 @@ def test_two_route_section_count_can_fail(monkeypatch):
     summary = verify_atlas(EnumerationOptions(k=6))
     checks = {c.name: c for c in summary.checks}
     broken = checks.pop("two-route-section-count")
-    reports = enumerate_components(EnumerationOptions(k=6)).reports
+    reports = tuple(iter_components(EnumerationOptions(k=6)))
     assert len(reports) > 10
     assert (broken.passed, broken.failed) == (0, len(reports))
     assert broken.failures == tuple(

@@ -11,7 +11,7 @@ import pytest
 import sheafatlas
 from powerbasis import chern_from_hp, hp_from_chern
 from sheafatlas import atlas, transform
-from sheafatlas.atlas import EnumerationOptions, enumerate_components
+from sheafatlas.atlas import EnumerationOptions, iter_components
 from sheafatlas.curvecoh import CompleteIntersection, RationalCurve, genus
 from sheafatlas.exactpoly import HilbertPolynomial
 from sheafatlas.families import (
@@ -46,8 +46,7 @@ V1_PLANE_CUBIC = ComponentDescriptor(
 
 def all_reports(max_k=12):
     for k in range(3, max_k + 1):
-        atlas = enumerate_components(EnumerationOptions(k=k))
-        yield from atlas.reports
+        yield from iter_components(EnumerationOptions(k=k))
 
 
 def verdict(d, condition):
@@ -486,7 +485,7 @@ def test_enumeration_reads_chi_and_n_once_per_report(monkeypatch):
     # the range of s.
     calls = _count_calls(monkeypatch, ("chi_l", "half_c3"),
                          modules=(transform, atlas))
-    reports = enumerate_components(EnumerationOptions(k=22)).reports
+    reports = tuple(iter_components(EnumerationOptions(k=22)))
     runs = _runs(reports)
     assert (len(reports), len(runs)) == (1344, 69)
     assert calls["chi_l"] == len(runs)
@@ -496,7 +495,7 @@ def test_enumeration_reads_chi_and_n_once_per_report(monkeypatch):
 def test_enumeration_derives_run_parts_once_per_run(monkeypatch):
     calls = _count_calls(monkeypatch, RUN_PARTS + ("chi_hom_fl",),
                          modules=(transform, atlas))
-    reports = enumerate_components(EnumerationOptions(k=22)).reports
+    reports = tuple(iter_components(EnumerationOptions(k=22)))
     runs = _runs(reports)
     split_runs = [run for run in runs if isinstance(run[0], SplitResolution)]
     assert (len(reports), len(runs), len(split_runs)) == (1344, 69, 38)

@@ -8,7 +8,6 @@ from sheafatlas import atlas, curvecoh, families, p3rr, render, transform
 from sheafatlas.atlas import (
     EnumerationOptions,
     curve_families_of_degree,
-    enumerate_components,
     verify_atlas,
 )
 from sheafatlas.curvecoh import CompleteIntersection, RationalCurve
@@ -24,7 +23,7 @@ VALUE_TYPES = [
     transform.ComponentDescriptor, transform.ConditionVerdict,
     transform.SingularitySignature, transform.ErratumNote,
     transform.ComponentReport, transform.ComponentRun,
-    atlas.EnumerationOptions, atlas.Atlas, atlas.CheckResult,
+    atlas.EnumerationOptions, atlas.CheckResult,
     atlas.VerificationSummary,
 ]
 
@@ -42,7 +41,7 @@ def _samples() -> list:
         report.descriptor, report.verdicts[0], report.signature,
         report.erratum_notes[0], report,
         transform.component_run(IdealExtension(1), RationalCurve(2)),
-        opts, enumerate_components(opts), summary.checks[0], summary,
+        opts, summary.checks[0], summary,
     ]
 
 
