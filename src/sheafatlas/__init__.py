@@ -5,9 +5,9 @@ reflexive sheaves along curves and collections of points.
 All arithmetic is exact and done in integers; the closed-form c3, which can
 be half-integral, is carried as 2*c3.  Every Chern number is read off
 integer values of a Hilbert polynomial through the Riemann-Roch dictionary
-in `p3rr`.  `HilbertPolynomial` is exported but used by no module of the
-package.  Closed-form formulas are compared with a second route, and
-disagreements are reported rather than repaired.  The section-count and
+in `p3rr`; no module of the package uses `exactpoly.HilbertPolynomial`.
+Closed-form formulas are compared with a second route, and disagreements
+are reported rather than repaired.  The section-count and
 tangent-dimension comparisons restate their first route instead; ROADMAP
 item 4 lists the independent routes meant to replace them.
 """
@@ -21,7 +21,7 @@ from .atlas import (
     verify_atlas,
 )
 from .curvecoh import CompleteIntersection, CurveCohomology, RationalCurve
-from .exactpoly import HilbertPolynomial
+from . import exactpoly  # perfbench/tracer.py wraps its HilbertPolynomial
 from .families import ExtProfile, IdealExtension, SplitResolution
 from .p3rr import CertificateError, ChernData, chi_o_p3, h0_o_p3
 from .transform import (
@@ -49,7 +49,6 @@ __all__ = [
     "EnumerationOptions",
     "ErratumNote",
     "ExtProfile",
-    "HilbertPolynomial",
     "IdealExtension",
     "InadmissibleDescriptor",
     "RationalCurve",

@@ -9,6 +9,7 @@ produce identical atlases.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from collections.abc import Iterator
 from itertools import chain, zip_longest
@@ -59,9 +60,8 @@ class EnumerationOptions(namedtuple("EnumerationOptions",
         return tuple.__new__(cls, (k, min_curve_degree))
 
 
-class CheckResult(namedtuple("CheckResult", "name passed failed failures",
-                             defaults=((),))):
-    __slots__ = ()
+CheckResult = namedtuple("CheckResult", "name passed failed failures",
+                         defaults=((),))
 
 
 class VerificationSummary(namedtuple("VerificationSummary",
@@ -85,21 +85,20 @@ def _split_triples(weight: int):
 def solve_sabc(c2_target: int) -> list[tuple[int, int, int]]:
     """All split-family exponent triples with oracle c2 equal to the target.
 
-    With 2k = 3a+2b+c one has c2 = k^2 + 3k - (b+c) and b + c <= 2k, so
-    c2 >= k^2 + k; that bounds k and makes the search finite.  Each
-    candidate is accepted through the resolution-route Chern computation,
-    not the closed form.  Triples are returned in lexicographic order.
+    With 2k = 3a+2b+c one has c2 = k^2 + 3k - (b+c) and 0 <= b + c <= 2k,
+    so c2 lies in [k^2 + k, k^2 + 3k].  These ranges are disjoint for
+    different k, so the target fixes k, and a target between two ranges has
+    no triple.  Each candidate of that k is accepted through the
+    resolution-route Chern computation, not the closed form.  Triples are
+    returned in lexicographic order.
     """
     if c2_target < 1:
         raise ValueError("c2 target must be positive")
-    found = []
-    kappa = 1
-    while kappa * kappa + kappa <= c2_target:
-        found += [t for t in _split_triples(2 * kappa)
-                  if chern_of(SplitResolution(*t)).c2 == c2_target]
-        kappa += 1
-    found.sort()
-    return found
+    kappa = (math.isqrt(4 * c2_target + 1) - 1) // 2
+    if c2_target > kappa * kappa + 3 * kappa:
+        return []
+    return [t for t in _split_triples(2 * kappa)
+            if chern_of(SplitResolution(*t)).c2 == c2_target]
 
 
 def curve_families_of_degree(d: int) -> list[CurveFamily]:

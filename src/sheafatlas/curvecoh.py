@@ -59,8 +59,7 @@ class CompleteIntersection(namedtuple("CompleteIntersection", "d1 d2")):
 CurveFamily = RationalCurve | CompleteIntersection
 
 
-class CurveCohomology(namedtuple("CurveCohomology", "h0 h1")):
-    __slots__ = ()
+CurveCohomology = namedtuple("CurveCohomology", "h0 h1")
 
 
 def genus(curve: CurveFamily) -> int:

@@ -1,11 +1,11 @@
 """Integer-valued polynomials of degree at most 3, in the binomial basis.
 
 No module of the package uses this class: every Chern number is read off
-integer values through `p3rr`.  It stays exported only because the
-benchmark's per-layer tracer looks `HilbertPolynomial` up by name.  An
-integer-valued cubic is an integer combination of the binomials C(t+i, i),
-so it is stored as four `int` coordinates and evaluated with exact integers
-only.
+integer values through `p3rr`.  The package still imports this module
+only because the benchmark's per-layer tracer looks `HilbertPolynomial` up
+by name.  An integer-valued cubic is an integer combination of the
+binomials C(t+i, i), so it is stored as four `int` coordinates and
+evaluated with exact integers only.
 """
 
 from __future__ import annotations

@@ -142,9 +142,7 @@ def parse_curve(text: str) -> CurveFamily:
                                       "CI": (CompleteIntersection, 2)})
 
 
-class ConditionVerdict(namedtuple("ConditionVerdict",
-                                   "condition status note")):
-    __slots__ = ()
+ConditionVerdict = namedtuple("ConditionVerdict", "condition status note")
 
 
 # Ledger entries fixed by the reflexive family kind, shared by every
@@ -182,28 +180,18 @@ _FAMILY_VERDICTS = {
 }
 
 
-class SingularitySignature(namedtuple(
-        "SingularitySignature",
-        "curve_parts isolated_points_from_w reflexive_sing_c3")):
-    """Decomposition of Sing(E): the curve parts (deg C, g), the points of
-    W, and the singular points inherited from the reflexive hull (weight
-    c3(R))."""
-
-    __slots__ = ()
+SingularitySignature = namedtuple(
+    "SingularitySignature",
+    "curve_parts isolated_points_from_w reflexive_sing_c3")
+SingularitySignature.__doc__ = """Decomposition of Sing(E): the curve parts
+(deg C, g), the points of W, and the singular points inherited from the
+reflexive hull (weight c3(R))."""
 
 
-class ErratumNote(namedtuple("ErratumNote", "code message values",
-                              defaults=((),))):
-    """A flagged disagreement or literature record attached to a report;
-    values is a tuple of (key, value) pairs."""
-
-    __slots__ = ()
-
-    def value(self, key: str):
-        for k, v in self.values:
-            if k == key:
-                return v
-        raise KeyError(key)
+ErratumNote = namedtuple("ErratumNote", "code message values",
+                         defaults=((),))
+ErratumNote.__doc__ = """A flagged disagreement or literature record attached
+to a report; values is a tuple of (key, value) pairs."""
 
 
 def dedup_notes(notes) -> tuple[ErratumNote, ...]:
@@ -214,24 +202,21 @@ def dedup_notes(notes) -> tuple[ErratumNote, ...]:
     return tuple(first.values())
 
 
-class ComponentReport(namedtuple("ComponentReport", (
-        "descriptor k chern_e deg_l chi_l chi_hom_fl hom_orbit_dim "
-        "dim_component dim_tangent verdicts signature erratum_notes "
-        "reflexive_chern reflexive_chern_closed normal_bundle_h1"))):
-    """Everything assemble_report derives for one descriptor; the closed
-    form is (c2, 2*c3) in integers, or None for the extension family."""
+ComponentReport = namedtuple("ComponentReport", (
+    "descriptor k chern_e deg_l chi_l chi_hom_fl hom_orbit_dim "
+    "dim_component dim_tangent verdicts signature erratum_notes "
+    "reflexive_chern reflexive_chern_closed normal_bundle_h1"))
+ComponentReport.__doc__ = """Everything assemble_report derives for one
+descriptor; the closed form is (c2, 2*c3) in integers, or None for the
+extension family."""
 
-    __slots__ = ()
 
-
-class ComponentRun(namedtuple("ComponentRun", (
-        "reflexive curve chern_r chern_e chi_l0 genus normal_h1 dim_fixed "
-        "tangent_fixed closed notes curve_parts"))):
-    """What component_run derives once for the reports over (R, C): every
-    report field that does not vary with s, chi(L) at s = 0, and the s-free
-    parts of the component and tangent dimensions."""
-
-    __slots__ = ()
+ComponentRun = namedtuple("ComponentRun", (
+    "reflexive curve chern_r chern_e chi_l0 genus normal_h1 dim_fixed "
+    "tangent_fixed closed notes curve_parts"))
+ComponentRun.__doc__ = """What component_run derives once for the reports over
+(R, C): every report field that does not vary with s, chi(L) at s = 0, and
+the s-free parts of the component and tangent dimensions."""
 
 
 def chi_l(d: ComponentDescriptor) -> int:

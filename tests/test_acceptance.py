@@ -95,10 +95,10 @@ def test_criterion_02_c3_audit():
     report = build_report(
         ComponentDescriptor(SplitResolution(1, 0, 1), RationalCurve(2), 0))
     note = {n.code: n for n in report.erratum_notes}["closed-form-c3-mismatch"]
-    closed = dict(note.value("closed_form"))
+    closed = dict(dict(note.values)["closed_form"])
     assert Fraction(closed["num"], closed["den"]) == Fraction(77, 2)
     assert "gives 77/2;" in note.message
-    assert note.value("resolution_oracle") == 40
+    assert dict(note.values)["resolution_oracle"] == 40
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, "took %.3fs" % elapsed
 
@@ -161,8 +161,8 @@ def test_criterion_06_m3_reproduction(capsys):
     assert report.chern_e.c2 == 3
     assert report.dim_component == 22
     note = {n.code: n for n in report.erratum_notes}["published-m3-values"]
-    assert note.value("published_dimension") == 21
-    assert note.value("computed_dimension") == 22
+    assert dict(note.values)["published_dimension"] == 21
+    assert dict(note.values)["computed_dimension"] == 22
     # and through the command line
     code = main(["enumerate", "--c2", "3", "--format", "json"])
     out = capsys.readouterr().out

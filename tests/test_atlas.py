@@ -192,7 +192,7 @@ def test_verify_atlas_k4():
 def test_verify_atlas_k12_notes_mixed_triples_only():
     summary = verify_atlas(EnumerationOptions(k=12))
     assert summary.ok
-    mismatches = {n.value("triple") for n in summary.erratum_notes
+    mismatches = {dict(n.values)["triple"] for n in summary.erratum_notes
                   if n.code == "closed-form-c3-mismatch"}
     assert mismatches == {"S:0,1,2", "S:1,0,1"}
     assert all(n.code == "closed-form-c3-mismatch"

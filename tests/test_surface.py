@@ -114,6 +114,137 @@ def test_every_exported_name_resolves():
     assert [n for n in sheafatlas.__all__ if not hasattr(sheafatlas, n)] == []
 
 
+def bare_value_subclasses(source: str) -> list[str]:
+    """Classes built on a `namedtuple(...)` call that define no `__new__`,
+    method or property: each is the named tuple itself, written twice."""
+    bare = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.ClassDef)
+                and any(isinstance(b, ast.Call) and ast.unparse(b.func) in
+                        ("namedtuple", "collections.namedtuple")
+                        for b in node.bases)
+                and not any(isinstance(n, ast.FunctionDef)
+                            for n in node.body)):
+            bare.append(node.name)
+    return sorted(bare)
+
+
+def test_the_guard_sees_bare_value_subclasses():
+    source = (
+        'class Bare(namedtuple("Bare", "x")):\n'
+        '    """Documented, but nothing more."""\n    __slots__ = ()\n'
+        'class Dotted(collections.namedtuple("Dotted", "x")):\n    pass\n'
+        'class Checked(namedtuple("Checked", "x")):\n'
+        '    def __new__(cls, x):\n        return tuple.__new__(cls, (x,))\n'
+        'class Shown(namedtuple("Shown", "x")):\n    @property\n'
+        '    def y(self):\n        return self.x\n'
+        'class Other(tuple):\n    __slots__ = ()\n'
+        'Plain = namedtuple("Plain", "x")\n')
+    assert bare_value_subclasses(source) == ["Bare", "Dotted"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.stem)
+def test_no_bare_value_subclasses(path):
+    assert bare_value_subclasses(path.read_text(encoding="utf-8")) == []
+
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+# Names the benchmark's tracer still looks up although the package no longer
+# defines them; the tracer reads each as 0 rather than failing.
+TRACER_DEAD_NAMES = dict.fromkeys((
+    "atlas.enumerate_components",
+    "exactpoly.HilbertPolynomial.twist",
+    "families.hp_of_family",
+    "p3rr.hp_o_p3",
+    "p3rr.chern_from_hp",
+    "p3rr.hp_from_chern",
+    "render.atlas_json",
+    "render.atlas_csv",
+    "render.atlas_table",
+), "dropped by ROADMAP item 1")
+
+
+def tracer_lookups(source: str) -> set[str]:
+    """Dotted names, relative to the package, that the tracer's source looks
+    up by string: the literal arguments of `count`, `span_total` and
+    `names.index`, the literals compared with `name ==`, the `render`
+    functions keyed in RENDER_FORMATS, the modules in LAYERS, and attributes
+    read off `modules["layer"]`."""
+    tree = ast.parse(source)
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            func = node.func
+            if (func.attr in ("count", "span_total")
+                    or (func.attr == "index"
+                        and getattr(func.value, "attr", None) == "names")):
+                found |= {a.value for a in node.args[:1]
+                          if isinstance(a, ast.Constant)}
+        elif (isinstance(node, ast.Compare)
+              and getattr(node.left, "id", None) == "name"
+              and isinstance(node.ops[0], ast.Eq)):
+            found |= {c.value for c in node.comparators
+                      if isinstance(c, ast.Constant)}
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Subscript)
+              and getattr(node.value.value, "id", None) == "modules"
+              and isinstance(node.value.slice, ast.Constant)):
+            found.add("%s.%s" % (node.value.slice.value, node.attr))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target = getattr(node.targets[0], "id", None)
+            if target == "LAYERS":
+                found |= set(ast.literal_eval(node.value))
+            elif target == "RENDER_FORMATS":
+                found |= {"render." + f for f in ast.literal_eval(node.value)}
+    return found
+
+
+def test_the_guard_sees_tracer_lookups():
+    source = (
+        'LAYERS = ("p3rr", "cli")\n'
+        'RENDER_FORMATS = {"report_json": "json"}\n'
+        'def f(tracer, name, modules, codes, code):\n'
+        '    tracer.count("transform.chi_l") + codes.count(code)\n'
+        '    tracer.span_total("atlas.verify_atlas")\n'
+        '    tracer.names.index("families.chern_of")\n'
+        '    if name == "atlas.solve_sabc" or name in RENDER_FORMATS:\n'
+        '        return modules["exactpoly"].HilbertPolynomial\n')
+    assert sorted(tracer_lookups(source)) == [
+        "atlas.solve_sabc", "atlas.verify_atlas", "cli",
+        "exactpoly.HilbertPolynomial", "families.chern_of", "p3rr",
+        "render.report_json", "transform.chi_l"]
+
+
+def unresolved_after_cli_import(names) -> list[str]:
+    """The names that do not resolve in a fresh process after `import
+    sheafatlas.cli`, the only import the tracer makes: the first part must
+    be a loaded `sheafatlas` module, the rest attributes of it."""
+    script = (
+        "import sys; sys.path.insert(0, %r); import sheafatlas.cli\n"
+        "for name in %r:\n"
+        "    first, *rest = name.split('.')\n"
+        "    obj = sys.modules.get('sheafatlas.' + first)\n"
+        "    for part in rest:\n"
+        "        obj = getattr(obj, part, None)\n"
+        "    if obj is None:\n"
+        "        print(name)\n" % (str(PACKAGE.parent), sorted(names)))
+    proc = subprocess.run([sys.executable, "-S", "-c", script],
+                          capture_output=True, text=True, check=True)
+    return proc.stdout.split()
+
+
+def test_the_names_the_benchmark_looks_up_resolve():
+    # A deleted name would turn its metric into a silent 0; a listed dead
+    # name that the tracer stops looking up does not fail this test.
+    looked_up = tracer_lookups(TRACER.read_text(encoding="utf-8"))
+    assert len(looked_up) >= 10
+    unresolved = unresolved_after_cli_import(looked_up | set(TRACER_DEAD_NAMES))
+    assert [n for n in unresolved if n not in TRACER_DEAD_NAMES] == []
+    assert sorted(TRACER_DEAD_NAMES) == sorted(unresolved)
+
+
 def absolute_imports(source: str) -> list[str]:
     """Top-level packages of absolute imports anywhere in the source,
     including imports inside functions and classes."""

@@ -262,9 +262,9 @@ def test_build_report_m3_flags_published_dimension():
     codes = [n.code for n in report.erratum_notes]
     assert codes == ["published-m3-values"]
     note = report.erratum_notes[0]
-    assert note.value("computed_dimension") == 22
-    assert note.value("published_dimension") == 21
-    assert note.value("published_spectrum") == (-1, 0, 1)
+    assert dict(note.values)["computed_dimension"] == 22
+    assert dict(note.values)["published_dimension"] == 21
+    assert dict(note.values)["published_spectrum"] == (-1, 0, 1)
 
 
 def test_a_member_of_another_run_is_refused():
@@ -298,10 +298,10 @@ def test_build_report_mixed_triple_notes_mismatch():
     codes = [n.code for n in report.erratum_notes]
     assert codes == ["closed-form-c3-mismatch"]
     note = report.erratum_notes[0]
-    assert note.value("closed_form") == (("den", 2), ("num", 77))
-    closed = dict(note.value("closed_form"))
+    assert dict(note.values)["closed_form"] == (("den", 2), ("num", 77))
+    closed = dict(dict(note.values)["closed_form"])
     assert Fraction(closed["num"], closed["den"]) == Fraction(77, 2)
-    assert note.value("resolution_oracle") == 40
+    assert dict(note.values)["resolution_oracle"] == 40
 
 
 def test_degree_one_needs_override():
