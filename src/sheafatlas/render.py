@@ -14,6 +14,9 @@ sort_keys=True) gives for the same tree, without building the tree: only
 erratum notes, whose values vary in shape, go through json.dumps, once for
 each run of reports that share one notes tuple, as does the atlas header,
 once.
+
+Each writer formats a run's tags and notes once per run, and JSON its
+closed form and curve parts too.
 """
 
 from __future__ import annotations
@@ -181,20 +184,23 @@ def _report_writer(pad: str):
     notes = _last_text(notes_text)
     verdicts = _ledger_text(lambda v: verdict % (
         _str(v.condition), _str(v.note), _str(v.status.value)))
+    closed_text = _last_text(lambda c: "null" if c is None else
+                             closed_form % ((c[0],) + halved(c[1])[1:]))
+    curve = _last_text(lambda c: _str(curve_tag(c)))
+    reflexive = _last_text(lambda f: _str(reflexive_tag(f)))
+    curve_parts = _last_text(lambda parts: _list(
+        [curve_part % p for p in parts], nl + "    ]"))
 
     def write(r: ComponentReport) -> str:
         d, e, o, sig = r.descriptor, r.chern_e, r.reflexive_chern, r.signature
-        closed = r.reflexive_chern_closed
         return report % (
-            e.c1, e.c2, e.c3, e.rank,
-            "null" if closed is None else closed_form % (
-                (closed[0],) + halved(closed[1])[1:]),
+            e.c1, e.c2, e.c3, e.rank, closed_text(r.reflexive_chern_closed),
             o.c1, o.c2, o.c3, o.rank,
             r.chi_l, r.chi_hom_fl, r.deg_l,
-            _str(curve_tag(d.curve)), _str(reflexive_tag(d.reflexive)), d.s,
+            curve(d.curve), reflexive(d.reflexive), d.s,
             r.dim_component, r.dim_tangent, notes(r.erratum_notes),
             r.hom_orbit_dim, r.k, r.normal_bundle_h1,
-            _list([curve_part % p for p in sig.curve_parts], nl + "    ]"),
+            curve_parts(sig.curve_parts),
             sig.isolated_points_from_w, sig.reflexive_sing_c3,
             _list(verdicts(r.verdicts), nl + "  ]"),
         )
@@ -206,9 +212,9 @@ def write_atlas(options: EnumerationOptions,
     """Write the atlas of `options` in `fmt` ("json", "csv" or "table") to
     the text stream `out`, as `reports` yields its reports in canonical
     order.  JSON and CSV write each report as it arrives and keep none.  The
-    table needs its column widths before its first line, so it keeps the
-    cells of every row until the walk ends (never the reports themselves);
-    its memory still grows with the row count."""
+    table needs its column widths before its first line, so until the walk
+    ends it keeps each column's distinct cells once and a 4-byte index per
+    cell, never the reports or their rows."""
     if fmt == "json":
         _write_json(options, reports, out)
     elif fmt == "csv":
@@ -250,13 +256,14 @@ def _csv_row_writer():
     conditions = _ledger_text(
         lambda v: "%s=%s" % (v.condition, v.status.value))
     notes = _last_text(lambda notes: "; ".join(n.message for n in notes))
+    reflexive, curve = _last_text(reflexive_tag), _last_text(curve_tag)
 
     def row(report: ComponentReport) -> list:
         d = report.descriptor
         return [
             report.k,
-            reflexive_tag(d.reflexive),
-            curve_tag(d.curve),
+            reflexive(d.reflexive),
+            curve(d.curve),
             d.s,
             report.deg_l,
             report.chi_l,
@@ -282,17 +289,31 @@ def report_csv(report: ComponentReport) -> str:
 
 
 def _write_table(k: int, reports, out) -> None:
-    rows, listed_m3, cells = [], False, _csv_row_writer()
+    """Each column maps its distinct cells to indices in first-seen order,
+    and the rows are one array of indices.  Once the walk ends, each
+    distinct cell is padded to its column's width once."""
+    from array import array
+    columns = [{h: 0} for h in CSV_HEADER]  # row 0 is the header
+    n, listed_m3, cells = len(columns), False, _csv_row_writer()
+    rows = array("I", [0] * n)
     for r in reports:
-        rows.append([str(c) for c in cells(r)])
+        # map takes len(column) just before it calls setdefault on it
+        rows.extend(map(dict.setdefault, columns, cells(r), map(len, columns)))
         listed_m3 = listed_m3 or r.descriptor == M3_DESCRIPTOR
-    widths = [max(map(len, column)) for column in zip(CSV_HEADER, *rows)]
-    for row in (CSV_HEADER, *rows):
-        out.write("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip()
+    padded = []
+    for column in columns:
+        texts = [str(c) for c in column]
+        width = max(map(len, texts))
+        padded.append([t.ljust(width) for t in texts])
+    for row in zip(*[iter(rows)] * n):
+        out.write("  ".join(map(list.__getitem__, padded, row)).rstrip()
                   + "\n")
-    out.write("\n%d component(s) for c2 = %d\n" % (len(rows), k))
+    out.write("\n%d component(s) for c2 = %d\n" % (len(rows) // n - 1, k))
     # the tally by (reflexive kind, curve kind), read off the tag cells
-    kinds = Counter((tag_kind(r[1]), tag_kind(r[2])) for r in rows)
+    fams, curves, kinds = list(columns[1]), list(columns[2]), Counter()
+    for (fam, curve), count in Counter(
+            zip(rows[n + 1::n], rows[n + 2::n])).items():
+        kinds[tag_kind(fams[fam]), tag_kind(curves[curve])] += count
     for (fam_kind, curve_kind), count in sorted(kinds.items()):
         out.write("  %s over %s: %d\n" % (fam_kind, curve_kind, count))
     if listed_m3:

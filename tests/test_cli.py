@@ -240,7 +240,8 @@ def peak_rss_mb(*argv):
                     reason="reads ru_maxrss in KiB, as Linux reports it")
 def test_json_peak_memory_is_near_the_table_peak():
     # The JSON text is a few MB at c2 = 22; writing it must not hold a
-    # second tree of the atlas, so its peak stays near the table's.
+    # second tree of the atlas, so its peak stays near that of the table,
+    # which keeps one 4-byte index per cell.
     argv = ("enumerate", "--c2", "22", "--format")
     json_mb, table_mb = peak_rss_mb(*argv, "json"), peak_rss_mb(*argv, "table")
     assert json_mb <= table_mb + 10, (json_mb, table_mb)
@@ -248,10 +249,11 @@ def test_json_peak_memory_is_near_the_table_peak():
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="reads ru_maxrss in KiB, as Linux reports it")
-@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
 def test_streamed_peak_memory_does_not_grow_with_c2(fmt):
     # c2 = 45 has 11,472 reports against 314 at c2 = 14; JSON and CSV write
-    # each report as the walk builds it and keep none of them.
+    # each report as the walk builds it and keep none of them, and the
+    # table keeps 44 bytes of indices per row (about 0.5 MB at c2 = 45).
     small = peak_rss_mb("enumerate", "--c2", "14", "--format", fmt)
     large = peak_rss_mb("enumerate", "--c2", "45", "--format", fmt)
     assert large <= small + 3, (small, large)
@@ -278,13 +280,13 @@ def run_limited(limit_mb, *argv):
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="needs an enforced address-space limit")
 def test_out_of_memory_exits_4():
-    # The table keeps its cells until it knows its column widths, so it
-    # still grows with c2: under 32 MB the c2 = 22 table fits and the
-    # c2 = 60 table does not.  The control shows that the limit does not
-    # merely stop the interpreter from starting.
-    argv = ("enumerate", "--format", "table", "--c2")
-    assert run_limited(32, *argv, "22") == (0, "")
-    code, err = run_limited(32, *argv, "60")
+    # verify holds one atlas at a time, so its memory grows with the largest
+    # k: under 24 MB, --max-k 12 fits and --max-k 42 does not (on Linux
+    # x86-64 the first fits down to 19 MB, the second runs out up to 29 MB).
+    # The control shows that the limit does not merely stop the interpreter
+    # from starting.
+    assert run_limited(24, "verify", "--max-k", "12") == (0, "")
+    code, err = run_limited(24, "verify", "--max-k", "42")
     assert code == 4
     assert err == "error: out of memory\n"  # one line, no traceback
 

@@ -30,11 +30,30 @@ def test_library_example_prints_its_comments():
     assert out.getvalue().splitlines() == expected
 
 
-def _docstrings(module):
-    tree = ast.parse(Path(module.__file__).read_text())
-    for node in ast.walk(tree):
+def _docstrings(source):
+    """The docstrings of a module's source: those of its module, classes
+    and functions, and the strings it assigns to a `<name>.__doc__`."""
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
             yield ast.get_docstring(node) or ""
+        elif (isinstance(node, ast.Assign)
+              and isinstance(node.value, ast.Constant)
+              and type(node.value.value) is str
+              and any(isinstance(t, ast.Attribute) and t.attr == "__doc__"
+                      for t in node.targets)):
+            yield node.value.value
+
+
+def test_docstrings_include_doc_assignments():
+    source = '''"""Module text."""
+Pair = namedtuple("Pair", "a b")
+Pair.__doc__ = """Set after the class."""
+Pair.__name__ = "not a docstring"
+def f():
+    "Function text."
+'''
+    assert sorted(_docstrings(source)) == [
+        "Function text.", "Module text.", "Set after the class."]
 
 
 def _references(text):
@@ -57,7 +76,8 @@ def _resolves(name) -> bool:
 def test_backticked_names_resolve():
     modules = [importlib.import_module(name) for name in
                ("sheafatlas", *("sheafatlas." + m for m in MODULES))]
-    texts = [README, *(doc for m in modules for doc in _docstrings(m))]
+    texts = [README, *(doc for m in modules for doc in
+                       _docstrings(Path(m.__file__).read_text()))]
     names = {n for text in texts for n in _references(text)}
     assert len(names) >= 10
     assert [n for n in sorted(names) if not _resolves(n)] == []

@@ -1,13 +1,16 @@
-"""Rendering: the schema-1 JSON emitter against a dict-tree oracle, and the
-verification transcript.
+"""Rendering: the schema-1 JSON emitter against a dict-tree oracle, the
+table against a writer that holds every row, and the verification
+transcript.
 
 The oracle builds each report as a dict tree; serializing it with
 json.dumps(indent=2, sort_keys=True) must reproduce the emitter's bytes
 exactly.
 """
 
+import csv
 import io
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -29,6 +32,7 @@ from sheafatlas.render import (
 )
 from sheafatlas.transform import (
     M3_DESCRIPTOR,
+    PUBLISHED_M3_PRIOR_COMPONENTS,
     ComponentDescriptor,
     ConditionStatus,
     assemble_report,
@@ -37,6 +41,7 @@ from sheafatlas.transform import (
     parse_curve,
     parse_reflexive,
     reflexive_tag,
+    tag_kind,
 )
 
 
@@ -149,6 +154,40 @@ def test_atlas_json_is_the_oracle_tree(floor):
     opts = EnumerationOptions(3, 3)
     assert json.loads(written(opts, tuple(iter_components(opts)), "json"))[
         "reports"] == []
+
+
+def table_oracle(opts, reports):
+    """The table as a writer that holds every row's cells as strings: the
+    rows are the CSV rows, padded to the widest cell of each column."""
+    rows = list(csv.reader(io.StringIO(written(opts, reports, "csv"))))
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    lines = ["  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip()
+             for row in rows]
+    lines.append("\n%d component(s) for c2 = %d" % (len(rows) - 1, opts.k))
+    kinds = Counter((tag_kind(r[1]), tag_kind(r[2])) for r in rows[1:])
+    lines += ["  %s over %s: %d" % (*kind, count)
+              for kind, count in sorted(kinds.items())]
+    if any(r.descriptor == M3_DESCRIPTOR for r in reports):
+        lines.append("previously published components of this moduli space: "
+                     "%d; with the one above the total is at least %d"
+                     % (PUBLISHED_M3_PRIOR_COMPONENTS,
+                        PUBLISHED_M3_PRIOR_COMPONENTS + 1))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("floor", [1, 2, 3])
+def test_atlas_table_is_the_held_rows_table(floor):
+    for k in range(3, 17):
+        opts = EnumerationOptions(k, floor)
+        reports = tuple(iter_components(opts))
+        text = table_oracle(opts, reports)
+        assert written(opts, reports, "table") == text, k
+        assert streamed(opts, "table") == text, k
+        if k == 3:
+            # M3 lies over a conic: floor 3 leaves the empty atlas, and
+            # floors 1 and 2 list M3 and its footer
+            assert (reports == ()) == (floor == 3)
+            assert ("previously published" in text) == (floor < 3)
 
 
 def test_the_empty_atlas_streams_its_header_only():

@@ -100,10 +100,11 @@ def test_no_value_rebuilds_in_package(path):
 
 def test_cli_import_skips_dataclasses_and_inspect():
     # each command is a fresh process, so start-up is paid on every call;
-    # the package computes in int, so the rational stack stays unloaded too
+    # the package computes in int, so the rational stack stays unloaded too,
+    # and only the table imports array, when it is written
     script = ("import sys; sys.path.insert(0, %r); import sheafatlas.cli; "
               "print(sorted({'dataclasses', 'inspect', 'fractions', "
-              "'decimal', 'numbers'} & set(sys.modules)))"
+              "'decimal', 'numbers', 'array'} & set(sys.modules)))"
               % str(PACKAGE.parent))
     proc = subprocess.run([sys.executable, "-S", "-c", script],
                           capture_output=True, text=True, check=True)
