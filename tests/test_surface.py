@@ -1,6 +1,7 @@
 """Guards against dead surface (unused imports, unreferenced private helpers,
-unresolvable exports) and against imports from outside the standard
-library."""
+names the benchmark looks up that do not resolve), against imports from
+outside the standard library, and against a module that imports, or loads
+at run time, a layer at or above its own."""
 
 import ast
 import subprocess
@@ -98,21 +99,25 @@ def test_no_value_rebuilds_in_package(path):
     assert value_rebuilds(path.read_text(encoding="utf-8")) == []
 
 
+def child_stdout(snippet: str) -> str:
+    """The stdout of `snippet` run in a fresh `python -S` that imports the
+    package from this checkout; the snippet may use `sys`."""
+    script = "import sys; sys.path.insert(0, %r)\n%s" % (str(PACKAGE.parent),
+                                                        snippet)
+    proc = subprocess.run([sys.executable, "-S", "-c", script],
+                          capture_output=True, text=True, check=True)
+    return proc.stdout
+
+
 def test_cli_import_skips_dataclasses_and_inspect():
     # each command is a fresh process, so start-up is paid on every call;
     # the package computes in int, so the rational stack stays unloaded too,
     # and only the table imports array, when it is written
-    script = ("import sys; sys.path.insert(0, %r); import sheafatlas.cli; "
-              "print(sorted({'dataclasses', 'inspect', 'fractions', "
-              "'decimal', 'numbers', 'array'} & set(sys.modules)))"
-              % str(PACKAGE.parent))
-    proc = subprocess.run([sys.executable, "-S", "-c", script],
-                          capture_output=True, text=True, check=True)
-    assert proc.stdout == "[]\n"
-
-
-def test_every_exported_name_resolves():
-    assert [n for n in sheafatlas.__all__ if not hasattr(sheafatlas, n)] == []
+    stdout = child_stdout(
+        "import sheafatlas.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'fractions', "
+        "'decimal', 'numbers', 'array'} & set(sys.modules)))")
+    assert stdout == "[]\n"
 
 
 def bare_value_subclasses(source: str) -> list[str]:
@@ -222,18 +227,15 @@ def unresolved_after_cli_import(names) -> list[str]:
     """The names that do not resolve in a fresh process after `import
     sheafatlas.cli`, the only import the tracer makes: the first part must
     be a loaded `sheafatlas` module, the rest attributes of it."""
-    script = (
-        "import sys; sys.path.insert(0, %r); import sheafatlas.cli\n"
+    return child_stdout(
+        "import sheafatlas.cli\n"
         "for name in %r:\n"
         "    first, *rest = name.split('.')\n"
         "    obj = sys.modules.get('sheafatlas.' + first)\n"
         "    for part in rest:\n"
         "        obj = getattr(obj, part, None)\n"
         "    if obj is None:\n"
-        "        print(name)\n" % (str(PACKAGE.parent), sorted(names)))
-    proc = subprocess.run([sys.executable, "-S", "-c", script],
-                          capture_output=True, text=True, check=True)
-    return proc.stdout.split()
+        "        print(name)\n" % sorted(names)).split()
 
 
 def test_the_names_the_benchmark_looks_up_resolve():
@@ -357,6 +359,23 @@ def test_the_guard_sees_imports_through_siblings():
     "name", [p.stem for p in MODULES if p.stem != "exactpoly"])
 def test_chern_numbers_do_not_import_exactpoly(name):
     # Chern numbers are read off integer values through p3rr's value form;
-    # the binomial-coordinate class is exported by __init__ and reached by
-    # no module, not even through the modules it imports.
+    # only __init__ imports the binomial-coordinate class's module, for the
+    # benchmark's tracer, and no module reaches it, not even through the
+    # modules it imports.
     assert "exactpoly" not in reachable_modules(name)
+
+
+@pytest.mark.parametrize("module", ["sheafatlas", *("sheafatlas." + m
+                                                    for m in LAYER_RANK)])
+def test_importing_a_layer_loads_only_the_layers_below_it(module):
+    # The package root imports exactpoly and nothing else, so a layer's
+    # import loads that layer, what its sources reach, and exactpoly; a name
+    # re-exported from the root would load its layer for every import.
+    layer = module.removeprefix("sheafatlas").removeprefix(".")
+    expected = {"exactpoly"}
+    if layer:
+        expected |= {layer} | reachable_modules(layer)
+    loaded = child_stdout(
+        "import %s\nprint(*sorted(m.removeprefix('sheafatlas.') for m in "
+        "sys.modules if m.startswith('sheafatlas.')))" % module)
+    assert loaded.split() == sorted(expected)
