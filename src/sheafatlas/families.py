@@ -118,7 +118,7 @@ def presentation_value(family: ReflexiveFamily, t: int) -> int:
 
 @lru_cache(maxsize=None)
 def chern_of(family: ReflexiveFamily) -> ChernData:
-    """Chern data of a family member, read off its presentation.
+    """(c2, c3) of a family member, read off its presentation.
 
     P(0) and P(1) give (c2, c3); P(2) and P(3) must then be the Riemann-Roch
     values of that data, since four values fix a cubic and a rank-2, c1 = 0

@@ -78,18 +78,18 @@ def _note_dict(note: ErratumNote) -> dict:
 # that _report_writer builds already indented.
 _REPORT = """{
   "chern_E": {
-    "c1": %d,
+    "c1": 0,
     "c2": %d,
     "c3": %d,
-    "rank": %d
+    "rank": 2
   },
   "chern_routes": {
     "closed_form": %s,
     "resolution_oracle": {
-      "c1": %d,
+      "c1": 0,
       "c2": %d,
       "c3": %d,
-      "rank": %d
+      "rank": 2
     }
   },
   "chi_L": %d,
@@ -194,8 +194,7 @@ def _report_writer(pad: str):
     def write(r: ComponentReport) -> str:
         d, e, o, sig = r.descriptor, r.chern_e, r.reflexive_chern, r.signature
         return report % (
-            e.c1, e.c2, e.c3, e.rank, closed_text(r.reflexive_chern_closed),
-            o.c1, o.c2, o.c3, o.rank,
+            e.c2, e.c3, closed_text(r.reflexive_chern_closed), o.c2, o.c3,
             r.chi_l, r.chi_hom_fl, r.deg_l,
             curve(d.curve), reflexive(d.reflexive), d.s,
             r.dim_component, r.dim_tangent, notes(r.erratum_notes),
@@ -338,9 +337,7 @@ def report_table(report: ComponentReport) -> str:
         "descriptor      %s  %s  s=%d" % (
             reflexive_tag(d.reflexive), curve_tag(d.curve), d.s),
         "k               %d" % report.k,
-        "chern(E)        rank=%d c1=%d c2=%d c3=%d" % (
-            report.chern_e.rank, report.chern_e.c1,
-            report.chern_e.c2, report.chern_e.c3),
+        "chern(E)        rank=2 c1=0 c2=%d c3=%d" % report.chern_e,
         "chern(R)        resolution oracle: c2=%d c3=%d%s" % (
             oracle.c2, oracle.c3,
             "" if closed is None else

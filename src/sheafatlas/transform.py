@@ -188,8 +188,7 @@ SingularitySignature.__doc__ = """Decomposition of Sing(E): the curve parts
 reflexive hull (weight c3(R))."""
 
 
-ErratumNote = namedtuple("ErratumNote", "code message values",
-                         defaults=((),))
+ErratumNote = namedtuple("ErratumNote", "code message values")
 ErratumNote.__doc__ = """A flagged disagreement or literature record attached
 to a report; values is a tuple of (key, value) pairs."""
 
@@ -225,11 +224,11 @@ def chi_l(d: ComponentDescriptor) -> int:
 
 
 def chern_of_e(d: ComponentDescriptor, chi: int) -> ChernData:
-    """Chern data of E = ker(F -> Q), chi = chi(L), from the integer values
+    """(c2, c3) of E = ker(F -> Q), chi = chi(L), from the integer values
     P(E)(0) and P(E)(1) of P(E) = P(F) - P(Q).
 
     P(F) is the Riemann-Roch value of c(R) and P(Q)(t) = chi(L) + s +
-    deg(C)*t.  The result must come out as (2, 0, c2(R) + deg(C), 0);
+    deg(C)*t.  The result must come out as c2 = c2(R) + deg(C), c3 = 0;
     anything else means chi(L) was overridden inconsistently.
     """
     r, deg = chern_of(d.reflexive), d.curve.degree
@@ -465,55 +464,27 @@ def build_report(
 
 def assemble_report(d: ComponentDescriptor,
                     run: ComponentRun | None = None) -> ComponentReport:
-    """Assemble a report without enforcing the hard constraints.
+    """Assemble the member at d.s of `run`, the component_run of (R, C)
+    (built here when none is passed), without enforcing the hard
+    constraints: the CLI renders inadmissible descriptors this way, with
+    the failures in the verdicts.
 
-    Used by build_report after validation, and by the CLI to render a
-    best-effort report for inadmissible descriptors (the verdict column
-    then shows the failures).  The report is the member at d.s of `run`,
-    the component_run of (R, C), which is built here when none is passed.
+    The run's certificates hold for every s: P(Q)(t) = chi(L) + s +
+    deg(C)*t depends on chi(L) + s = 2*deg(C) + n only, so P(E), c3(E) = 0
+    and c2(E) = c2(R) + deg(C) are the same at every s; the closed form
+    reads only a, b, c, and the rest of the run only R or only C.
 
-    Derived and certified once per run, and why that holds for every s:
-
-    - chern_e is read at s = 0.  P(E) = P(F) - P(Q) with P(Q)(t) = chi(L)
-      + s + deg(C)*t, which depends on chi(L) + s = 2*deg(C) + n only, so
-      P(E), its c3 = 0 and its c2(E) = c2(R) + deg(C) certificates are the
-      same at every s.
-    - The closed form and its c2 certificate read only a, b and c.
-    - c(R), the genus, h0(N_C), h1(N_C), the Ext profile and dim R - dim
-      PAut(F) read only the family or only the curve.  They enter the
-      s-free parts of the two dimension routes, which are still compared
-      at every s.
-    - The run's notes are one shared tuple: closed-form-c3-mismatch and
-      outside-degree-novelty depend on R or on C alone.
-
-    Derived here, once per report, top-down:
-
-    - chi(L) = 2*deg(C) + n - s (chi_l) falls by one per point, and
-      deg(L) = g - 1 + chi(L) by Riemann-Roch on C.
-    - The orbit space Hom(F, Q)/Aut(Q) has dimension (chi(Hom(F,L)) - 1)
-      + s: h0(Hom(F, L)) equals the Euler characteristic under the
-      h1-vanishing condition, giving a projective space of dimension
-      chi - 1, and each point of W adds a P^1 of surjections onto its
-      skyscraper.  chi < 1 raises ValueError ("empty Hom").
-    - The component dimension is dim R + dim Sym^s(P^3) + (dim Hilb(C) + g)
-      + orbit dim - dim PAut(F): the genus term is the Jacobian of C, each
-      point contributes 3, and dim Hilb(C) is read off the tangent space
-      h0(N_C) (h1(N_C) is reported alongside as the obstruction datum).
-    - The tangent dimension is assembled along the local-to-global route,
-      written separately: dim Ext^1(E,E) = h0(Ext^1(E,E)) + h1(Hom(E,E))
-      - h2(Hom(E,E)).  h0(Ext^1(E,E)) gives the normal bundles of W and C
-      plus the Ext^1(F,F) block of the Ext profile; h1(Hom(E,E)) = 1
-      - h0(Hom(F,F)) + h0(Hom(F,Q)) - h0(Hom(Q,Q)) + h1(Hom(Q,Q)) with
-      h0(Hom(F,Q)) = chi(Hom(F,L)) + 2s, h0(Hom(Q,Q)) = 1 + s and
-      h1(Hom(Q,Q)) = g.  Its difference from the component dimension is
-      dim_fixed - tangent_fixed at every s, that is hom - 1 - dim PAut(F)
-      with ext1 = dim R, all fixed per family kind in `families`, so the
-      comparison (a mismatch raises CertificateError) restates those
-      constants rather than an independent route.
-    - Sing(E) is the curve (deg C, g), the s points of W and the singular
-      points of the reflexive hull, of weight c3(R).
-    - The verdicts are the full ledger of d.  The published-m3-values note
-      belongs to M3_DESCRIPTOR, not to its run, and is added here.
+    Per s: chi(L) = 2*deg(C) + n - s and deg(L) = g - 1 + chi(L).  Under
+    h1-vanishing h0(Hom(F, L)) = chi(Hom(F, L)), so the orbit space
+    Hom(F, Q)/Aut(Q) has dimension chi(Hom(F, L)) - 1 + s, each point of W
+    adding a P^1 of surjections onto its skyscraper.  The component has
+    dimension dim R + 3s + (h0(N_C) + g) + orbit - dim PAut(F).  The tangent
+    dimension h0(Ext^1(E,E)) + h1(Hom(E,E)) - h2(Hom(E,E)), with
+    h1(Hom(E,E)) = 1 - h0(Hom(F,F)) + (chi(Hom(F, L)) + 2s) - (1 + s) + g,
+    differs from it by a constant of the family kind, so comparing the two
+    (a mismatch raises CertificateError) restates that constant rather
+    than an independent route.  Sing(E) is the curve, the s points of W
+    and the singular points of R, of weight c3(R).
     """
     if run is None:
         run = component_run(d.reflexive, d.curve)

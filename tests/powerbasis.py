@@ -30,7 +30,7 @@ def chern_from_hp(p: HilbertPolynomial) -> ChernData:
     n0, n1, n2, n3 = p.coords
     if n3 != 2 or n2 != 0:
         raise ValueError("not a rank-2 c1=0 Hilbert polynomial")
-    return ChernData(2, 0, -n1, 2 * (n0 - n1))
+    return ChernData(-n1, 2 * (n0 - n1))
 
 
 def coefficient(p, k: int) -> Fraction:

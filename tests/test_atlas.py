@@ -304,6 +304,26 @@ def test_two_route_section_count_can_fail(monkeypatch):
         "; ".join(broken.failures), len(reports) - 10) in text
 
 
+def test_transformed_chern_can_fail(monkeypatch):
+    # both walks build the bad report through atlas's binding, so
+    # rerun-determinism still passes and only transformed-chern sees it
+    opts = EnumerationOptions(k=6)
+    reports = tuple(iter_components(opts))
+    target = reports[3].descriptor
+    real = atlas.build_report
+
+    def built(d, **kwargs):
+        r = real(d, **kwargs)
+        return r._replace(chern_e=ChernData(opts.k, 2)) if d == target else r
+    monkeypatch.setattr(atlas, "build_report", built)
+    checks = {c.name: c for c in verify_atlas(opts).checks}
+    broken = checks.pop("transformed-chern")
+    assert (broken.passed, broken.failed) == (len(reports) - 1, 1)
+    assert broken.failures == ("%s %s s=%d" % (
+        reflexive_tag(target.reflexive), curve_tag(target.curve), target.s),)
+    assert all(c.failed == 0 for c in checks.values())
+
+
 def test_module_invariant_suites_pass():
     for check in verify_module_invariants():
         assert check.failed == 0, check
@@ -316,7 +336,7 @@ def test_chern_round_trip_can_fail(monkeypatch):
 
     def shifted(p0, p1):
         c = real(p0, p1)
-        return ChernData(2, 0, c.c2 + 1, c.c3)
+        return ChernData(c.c2 + 1, c.c3)
     monkeypatch.setattr(atlas, "chern_from_values", shifted)
     checks = {c.name: c for c in verify_module_invariants()}
     broken = checks.pop("chern-round-trip")

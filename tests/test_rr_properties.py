@@ -20,7 +20,7 @@ T_RANGE = range(-10, 11)
 def test_hp_from_chern_is_the_rational_riemann_roch(c2, half_c3):
     # the value form is the rational formula, and P(0), P(1) invert it
     c3 = 2 * half_c3
-    data = ChernData(2, 0, c2, c3)
+    data = ChernData(c2, c3)
     for t in T_RANGE:
         expected = (2 * Fraction((t + 1) * (t + 2) * (t + 3), 6)
                     - c2 * (t + 2) + Fraction(c3, 2))

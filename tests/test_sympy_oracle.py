@@ -74,7 +74,7 @@ def test_chern_of_is_the_expanded_resolution(weight):
 def test_hp_from_chern_is_riemann_roch(c2):
     # the value form of p3rr, and the binomial oracle of the tests
     for c3 in range(-20, 61, 4):
-        data = ChernData(2, 0, c2, c3)
+        data = ChernData(c2, c3)
         expected = (2 * chi_o_p3_shifted(0) - c2 * (t + 2)
                     + sympy.Rational(c3, 2))
         assert is_value_form(data, expected)

@@ -77,9 +77,10 @@ def test_curve_kinds_never_compare_equal():
 
 # Each bad argument list with the exact message of its ValueError.
 BAD_ARGUMENTS = [
-    (ChernData, (2, 0, 1, 1),
+    (ChernData, (1, 1),
      "odd c3: a rank-2 sheaf with c1 = 0 on P^3 has even c3"),
-    (ChernData, (-1, 0, 0, 0), "rank must be nonnegative"),
+    (ChernData, (0, -3),
+     "odd c3: a rank-2 sheaf with c1 = 0 on P^3 has even c3"),
     (SplitResolution, (1, 2, 0), "3a+2b+c must be positive and even, got 7"),
     (SplitResolution, (-1, 0, 2), "resolution exponents must be nonnegative"),
     (SplitResolution, (0, 0, 0), "3a+2b+c must be positive and even, got 0"),
@@ -110,10 +111,11 @@ def test_constructors_reject_bad_arguments(cls, args, message):
 def test_keyword_construction_and_defaults():
     assert EnumerationOptions(k=5) == EnumerationOptions(5, 2)
     assert EnumerationOptions(5, min_curve_degree=1).min_curve_degree == 1
-    assert ErratumNote("code", "message").values == ()
-    assert atlas.CheckResult("name", 1, 0).failures == ()
     with pytest.raises(ValueError):
-        ChernData(rank=2, c1=0, c2=3, c3=1)
+        ChernData(c2=3, c3=1)
+    assert ChernData._fields == ("c2", "c3")
+    assert ErratumNote._field_defaults == {}
+    assert atlas.CheckResult._field_defaults == {}
 
 
 def test_a_value_type_in_a_note_still_fails_to_render():
