@@ -11,26 +11,28 @@ integer 2*c3, as is the closed_form value of its erratum note.
 Schema-1 JSON is written from one fixed per-report template whose keys are
 spelled out in sorted order.  Its bytes are those json.dumps(indent=2,
 sort_keys=True) gives for the same tree, without building the tree: only
-erratum notes, whose values vary in shape, go through json.dumps, once for
-each run of reports that share one notes tuple, as does the atlas header,
+erratum notes, whose values vary in shape, go through json.dumps, once per
+change of value from one report to the next, as does the atlas header,
 once.
 
-Each writer formats a run's tags and notes once per run, and JSON its
-closed form and curve parts too.
+Each writer formats a run's tags and notes once per change of value, and
+JSON its closed form and curve parts too, with an lru_cache of size 1 that
+the writer makes for itself.  Its verdict texts share one lru_cache that
+holds two whole ledgers, so a verdict that every ledger shares is written
+once per atlas.  json and csv are imported by the writers that use them.
 """
 
 from __future__ import annotations
 
-import csv
 import io
-import json
 from collections import Counter
 from collections.abc import Iterable
-from json.encoder import encode_basestring_ascii as _str
+from functools import lru_cache
 
 from .atlas import EnumerationOptions, VerificationSummary
 from .families import halved
 from .transform import (
+    CONDITION_IDS,
     M3_DESCRIPTOR,
     PUBLISHED_M3_PRIOR_COMPONENTS,
     ComponentReport,
@@ -138,39 +140,11 @@ def _list(items: list, close: str) -> str:
     return "[" + ",".join(items) + close if items else "[]"
 
 
-def _last_text(text):
-    """A function x -> text(x) that keeps the text of the last x it was
-    given and returns it, without calling text, when given that very object
-    again.  It holds x itself, so `is` never matches a freed object whose id
-    was reused."""
-    held, kept = object(), None
-
-    def memo(x):
-        nonlocal held, kept
-        if x is not held:
-            held, kept = x, text(x)
-        return kept
-    return memo
-
-
-def _ledger_text(text):
-    """A function verdicts -> [text(v) for v in verdicts] with a _last_text
-    for each ledger position: check_conditions shares the verdicts a family
-    kind fixes between all its ledgers, so only the others are written
-    again."""
-    slots = []
-
-    def texts(verdicts):
-        while len(slots) < len(verdicts):
-            slots.append(_last_text(text))
-        return [slot(v) for slot, v in zip(slots, verdicts)]
-    return texts
-
-
 def _report_writer(pad: str):
     """A function that writes one report from the _REPORT template, every
-    line after the first indented by pad.  A run's reports share one notes
-    tuple, so its notes go through json.dumps once per run."""
+    line after the first indented by pad.  A run's reports share their notes,
+    so the notes go through json.dumps once per change of value."""
+    from json.encoder import encode_basestring_ascii as _str
     nl = "\n" + pad
     report, closed_form, curve_part, verdict = (
         t.replace("\n", nl)
@@ -179,16 +153,19 @@ def _report_writer(pad: str):
     def notes_text(notes) -> str:
         if not notes:
             return "[]"
+        import json
         return json.dumps([_note_dict(n) for n in notes], indent=2,
                           sort_keys=True).replace("\n", nl + "  ")
-    notes = _last_text(notes_text)
-    verdicts = _ledger_text(lambda v: verdict % (
-        _str(v.condition), _str(v.note), _str(v.status.value)))
-    closed_text = _last_text(lambda c: "null" if c is None else
-                             closed_form % ((c[0],) + halved(c[1])[1:]))
-    curve = _last_text(lambda c: _str(curve_tag(c)))
-    reflexive = _last_text(lambda f: _str(reflexive_tag(f)))
-    curve_parts = _last_text(lambda parts: _list(
+    last = lru_cache(maxsize=1)
+    notes = last(notes_text)
+    verdict_text = lru_cache(maxsize=2 * len(CONDITION_IDS))(
+        lambda v: verdict % (
+            _str(v.condition), _str(v.note), _str(v.status.value)))
+    closed_text = last(lambda c: "null" if c is None else
+                       closed_form % ((c[0],) + halved(c[1])[1:]))
+    curve = last(lambda c: _str(curve_tag(c)))
+    reflexive = last(lambda f: _str(reflexive_tag(f)))
+    curve_parts = last(lambda parts: _list(
         [curve_part % p for p in parts], nl + "    ]"))
 
     def write(r: ComponentReport) -> str:
@@ -201,7 +178,7 @@ def _report_writer(pad: str):
             r.hom_orbit_dim, r.k, r.normal_bundle_h1,
             curve_parts(sig.curve_parts),
             sig.isolated_points_from_w, sig.reflexive_sing_c3,
-            _list(verdicts(r.verdicts), nl + "  ]"),
+            _list([*map(verdict_text, r.verdicts)], nl + "  ]"),
         )
     return write
 
@@ -225,6 +202,7 @@ def write_atlas(options: EnumerationOptions,
 
 
 def _write_json(options: EnumerationOptions, reports, out) -> None:
+    import json
     header = json.dumps({
         "schema_version": SCHEMA_VERSION,
         "k": options.k,
@@ -246,16 +224,18 @@ def _write_json(options: EnumerationOptions, reports, out) -> None:
 
 
 def report_json(report: ComponentReport) -> str:
+    import json
     return '{\n  "report": %s,\n  "schema_version": %s\n}\n' % (
-        _report_writer("  ")(report), _str(SCHEMA_VERSION))
+        _report_writer("  ")(report), json.dumps(SCHEMA_VERSION))
 
 
 def _csv_row_writer():
     """A function that gives one report's CSV cells, in CSV_HEADER order."""
-    conditions = _ledger_text(
+    last = lru_cache(maxsize=1)
+    condition = lru_cache(maxsize=2 * len(CONDITION_IDS))(
         lambda v: "%s=%s" % (v.condition, v.status.value))
-    notes = _last_text(lambda notes: "; ".join(n.message for n in notes))
-    reflexive, curve = _last_text(reflexive_tag), _last_text(curve_tag)
+    notes = last(lambda notes: "; ".join(n.message for n in notes))
+    reflexive, curve = last(reflexive_tag), last(curve_tag)
 
     def row(report: ComponentReport) -> list:
         d = report.descriptor
@@ -269,13 +249,14 @@ def _csv_row_writer():
             report.chi_hom_fl,
             report.dim_component,
             report.dim_tangent,
-            "|".join(conditions(report.verdicts)),
+            "|".join(map(condition, report.verdicts)),
             notes(report.erratum_notes),
         ]
     return row
 
 
 def _write_csv(reports, out) -> None:
+    import csv
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     writer.writerows(map(_csv_row_writer(), reports))

@@ -59,6 +59,9 @@ class ConditionStatus(enum.Enum):
     HOLDS_GENERICALLY = "HoldsGenerically"
     FAILS = "Fails"
 
+    # singletons compared by identity; Enum's own __hash__ is a Python call
+    __hash__ = object.__hash__
+
 
 # Stable identifiers for the admissibility ledger, in report order.
 CONDITION_IDS = (

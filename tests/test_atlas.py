@@ -272,6 +272,29 @@ def test_rerun_determinism_can_fail(monkeypatch, second_walk):
     assert all(c.failed == 0 for c in checks.values())
 
 
+def test_rerun_determinism_walks_on_a_cold_chern_cache(monkeypatch):
+    # A family's second computation of its presentation comes out one higher
+    # at the t = 0..3 chern_of reads: c3 moves by 2 and n by 1, and no
+    # certificate sees it.  Only a second walk that computes the Chern data
+    # again, instead of reading the first walk's cache, can catch it.
+    real, computed = families.presentation_value, {}
+
+    def drifting(family, t):
+        if t == 0:
+            computed[family] = computed.get(family, 0) + 1
+        return real(family, t) + (t <= 3 and computed[family] > 1)
+    monkeypatch.setattr(families, "presentation_value", drifting)
+    chern_of.cache_clear()
+    try:
+        checks = {c.name: c
+                  for c in verify_atlas(EnumerationOptions(6)).checks}
+    finally:
+        chern_of.cache_clear()
+    broken = checks.pop("rerun-determinism")
+    assert (broken.passed, broken.failed) == (0, 1)
+    assert all(c.failed == 0 for c in checks.values())
+
+
 def test_passing_cases_get_no_label(monkeypatch):
     calls = []
     real = atlas.curve_tag

@@ -15,7 +15,6 @@ from fractions import Fraction
 
 import pytest
 
-from sheafatlas import render
 from sheafatlas.atlas import (
     CheckResult,
     EnumerationOptions,
@@ -201,12 +200,13 @@ def test_the_empty_atlas_streams_its_header_only():
 
 
 def test_atlas_json_dumps_only_the_header_and_the_notes(monkeypatch):
-    # A run's reports share one notes tuple, written once; the M3 report
-    # adds its own note to a run with none.
+    # Notes go through json.dumps once per change of value: a run's reports
+    # share them, and so do consecutive runs of one family whose notes are
+    # equal; the M3 report adds its own note to a run with none.
     dumps, calls = json.dumps, []
     monkeypatch.setattr(json, "dumps",
                         lambda *a, **kw: calls.append(a) or dumps(*a, **kw))
-    for k, floor in ((12, 2), (3, 1), (10, 1)):
+    for k, floor, count in ((12, 2, 3), (3, 1, 3), (10, 1, 3)):
         opts = EnumerationOptions(k, floor)
         reports = tuple(iter_components(opts))
         calls.clear()
@@ -218,21 +218,38 @@ def test_atlas_json_dumps_only_the_header_and_the_notes(monkeypatch):
         assert 0 < len(runs) < len(with_notes)
         # k = 3 at floor 1 is the M3 report and one run of notes only
         assert m3 == (k == 3) == (len(with_notes) == len(reports))
-        assert len(calls) == 1 + len(runs) + m3
+        notes = [()] + [r.erratum_notes for r in reports]
+        changes = sum(1 for a, b in zip(notes, notes[1:]) if b and b != a)
+        assert len(calls) == 1 + changes == count
 
 
 def test_a_verdict_every_ledger_shares_is_written_once(monkeypatch):
-    # surjection-exists is one object in every ledger, so its text is
+    # surjection-exists is the same verdict in every ledger, so its text is
     # written once per atlas, while points-bound is written per report
     opts = EnumerationOptions(12)
     reports = tuple(iter_components(opts))
-    real, calls = render._str, []
-    monkeypatch.setattr(render, "_str",
+    real, calls = json.encoder.encode_basestring_ascii, []
+    monkeypatch.setattr(json.encoder, "encode_basestring_ascii",
                         lambda text: calls.append(text) or real(text))
     written(opts, reports, "json")
     assert calls.count("open dense subset of Hom(F, Q)") == 1
     assert calls.count("surjection-exists") == 1
     assert calls.count("points-bound") == len(reports)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+def test_memos_keyed_by_value_never_change_bytes(fmt):
+    # Each report built on its own: equal values, but no run, notes tuple
+    # or ledger shared with its neighbours, so the memos see equal values
+    # in new objects.
+    for floor, top in ((2, 16), (1, 6)):
+        for k in range(3, top + 1):
+            opts = EnumerationOptions(k, floor)
+            reports = tuple(iter_components(opts))
+            rebuilt = tuple(build_report(r.descriptor, min_curve_degree=floor)
+                            for r in reports)
+            assert rebuilt == reports
+            assert written(opts, rebuilt, fmt) == written(opts, reports, fmt)
 
 
 @pytest.mark.parametrize("reflexive, curve, s, code, closed_form, c3", [

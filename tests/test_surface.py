@@ -112,11 +112,12 @@ def child_stdout(snippet: str) -> str:
 def test_cli_import_skips_dataclasses_and_inspect():
     # each command is a fresh process, so start-up is paid on every call;
     # the package computes in int, so the rational stack stays unloaded too,
-    # and only the table imports array, when it is written
+    # and only the table imports array, when it is written, as only the JSON
+    # and CSV writers import json and csv
     stdout = child_stdout(
         "import sheafatlas.cli; "
         "print(sorted({'dataclasses', 'inspect', 'fractions', "
-        "'decimal', 'numbers', 'array'} & set(sys.modules)))")
+        "'decimal', 'numbers', 'array', 'json', 'csv'} & set(sys.modules)))")
     assert stdout == "[]\n"
 
 
