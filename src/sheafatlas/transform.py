@@ -8,7 +8,8 @@ the curve and W is a set of s points.  Everything derived from that datum
 is computed here.
 
 The reports over one (R, C) pair form a run, s = 0..n; what does not vary
-with s is derived and certified once per run.  Chern numbers and the
+with s is derived and certified once per run, and each report holds its
+run and stores only the numbers that vary with s.  Chern numbers and the
 stability margin are read off integer values of Hilbert polynomials
 through the dictionary in `p3rr`, so no polynomial object is built here.
 """
@@ -204,21 +205,29 @@ def dedup_notes(notes) -> tuple[ErratumNote, ...]:
     return tuple(first.values())
 
 
-ComponentReport = namedtuple("ComponentReport", (
-    "descriptor k chern_e deg_l chi_l chi_hom_fl hom_orbit_dim "
-    "dim_component dim_tangent verdicts signature erratum_notes "
-    "reflexive_chern reflexive_chern_closed normal_bundle_h1"))
-ComponentReport.__doc__ = """Everything assemble_report derives for one
-descriptor; the closed form is (c2, 2*c3) in integers, or None for the
-extension family."""
-
-
 ComponentRun = namedtuple("ComponentRun", (
-    "reflexive curve chern_r chern_e chi_l0 genus normal_h1 dim_fixed "
-    "tangent_fixed closed notes curve_parts"))
-ComponentRun.__doc__ = """What component_run derives once for the reports over
-(R, C): every report field that does not vary with s, chi(L) at s = 0, and
-the s-free parts of the component and tangent dimensions."""
+    "reflexive curve chern_r chern_e chi_l0 genus normal_h1 dim0 tangent0 "
+    "closed notes curve_parts"))
+ComponentRun.__doc__ = """What component_run derives and certifies once for
+the reports over (R, C): every report number that does not vary with s,
+and chi(L) and the component and tangent dimensions at s = 0."""
+
+
+class ComponentReport(namedtuple("ComponentReport", (
+        "descriptor run deg_l chi_l chi_hom_fl hom_orbit_dim dim_component "
+        "dim_tangent verdicts erratum_notes"))):
+    """The member at descriptor.s of its run: the numbers that vary with s,
+    and the run-level numbers as reads of the run.  The closed form is
+    (c2, 2*c3) in integers, or None for the extension family."""
+
+    __slots__ = ()
+    k = property(lambda r: r.run.chern_e.c2)
+    chern_e = property(lambda r: r.run.chern_e)
+    reflexive_chern = property(lambda r: r.run.chern_r)
+    reflexive_chern_closed = property(lambda r: r.run.closed)
+    normal_bundle_h1 = property(lambda r: r.run.normal_h1)
+    signature = property(lambda r: SingularitySignature(
+        r.run.curve_parts, r.descriptor.s, r.run.chern_r.c3))
 
 
 def chi_l(d: ComponentDescriptor) -> int:
@@ -411,8 +420,18 @@ def _m3_note(dim: int) -> ErratumNote:
 
 def component_run(reflexive: ReflexiveFamily,
                   curve: CurveFamily) -> ComponentRun:
-    """Derive and certify once what every report over (R, C) shares;
-    assemble_report says what that is and why it holds for every s."""
+    """Derive and certify once what every report over (R, C) shares.
+
+    P(Q)(t) = chi(L) + s + deg(C)*t depends on chi(L) + s = 2*deg(C) + n
+    only, so P(E), c3(E) = 0 and c2(E) = c2(R) + deg(C) hold at every s,
+    and the closed form reads only a, b, c.  The two routes of chi_hom_fl,
+    and the component and tangent dimensions, differ by amounts free of s,
+    so both are compared at s = 0 only.  There the orbit Hom(F, Q)/Aut(Q)
+    has dimension chi(Hom(F, L)) - 1 under h1-vanishing, the component
+    dim R + h0(N_C) + g + orbit - dim PAut(F), and the tangent space
+    h0(N_C) + ext1 + h1(Hom(E,E)), with h1(Hom(E,E)) = 1 - h0(Hom(F,F)) +
+    chi(Hom(F, L)) - 1 + g.
+    """
     chern_r = chern_of(reflexive)
     first = ComponentDescriptor(reflexive, curve, 0)
     chi_l0 = chi_l(first)
@@ -427,21 +446,17 @@ def component_run(reflexive: ReflexiveFamily,
     g = genus(curve)
     normal = normal_cohomology(curve)
     profile = ext_profile(reflexive)
+    orbit0 = chi_hom_fl(first, chi_l0) - 1
+    dim0 = (dim_moduli(reflexive) - dim_paut(reflexive) + normal.h0 + g
+            + orbit0)
+    tangent0 = normal.h0 + profile.ext1 + 1 - profile.hom + g + orbit0
+    if dim0 != tangent0:
+        raise CertificateError(
+            "assembly mismatch: %d vs %d" % (dim0, tangent0))
     return ComponentRun(
-        reflexive=reflexive,
-        curve=curve,
-        chern_r=chern_r,
-        chern_e=chern_e,
-        chi_l0=chi_l0,
-        genus=g,
-        normal_h1=normal.h1,
-        dim_fixed=(dim_moduli(reflexive) - dim_paut(reflexive)
-                   + normal.h0 + g),
-        tangent_fixed=normal.h0 + profile.ext1 + 1 - profile.hom + g,
-        closed=closed,
-        notes=_run_notes(reflexive, curve, chern_r, closed),
-        curve_parts=((curve.degree, g),),
-    )
+        reflexive, curve, chern_r, chern_e, chi_l0, g, normal.h1, dim0,
+        tangent0, closed, _run_notes(reflexive, curve, chern_r, closed),
+        ((curve.degree, g),))
 
 
 def build_report(
@@ -472,22 +487,13 @@ def assemble_report(d: ComponentDescriptor,
     constraints: the CLI renders inadmissible descriptors this way, with
     the failures in the verdicts.
 
-    The run's certificates hold for every s: P(Q)(t) = chi(L) + s +
-    deg(C)*t depends on chi(L) + s = 2*deg(C) + n only, so P(E), c3(E) = 0
-    and c2(E) = c2(R) + deg(C) are the same at every s; the closed form
-    reads only a, b, c, and the rest of the run only R or only C.
-
-    Per s: chi(L) = 2*deg(C) + n - s and deg(L) = g - 1 + chi(L).  Under
-    h1-vanishing h0(Hom(F, L)) = chi(Hom(F, L)), so the orbit space
-    Hom(F, Q)/Aut(Q) has dimension chi(Hom(F, L)) - 1 + s, each point of W
-    adding a P^1 of surjections onto its skyscraper.  The component has
-    dimension dim R + 3s + (h0(N_C) + g) + orbit - dim PAut(F).  The tangent
-    dimension h0(Ext^1(E,E)) + h1(Hom(E,E)) - h2(Hom(E,E)), with
-    h1(Hom(E,E)) = 1 - h0(Hom(F,F)) + (chi(Hom(F, L)) + 2s) - (1 + s) + g,
-    differs from it by a constant of the family kind, so comparing the two
-    (a mismatch raises CertificateError) restates that constant rather
-    than an independent route.  Sing(E) is the curve, the s points of W
-    and the singular points of R, of weight c3(R).
+    Per s: chi(L) = chi_l0 - s, deg(L) = g - 1 + chi(L) and
+    chi(Hom(F, L)) = 2*chi(L) (an empty Hom raises ValueError); the orbit
+    has dimension chi(Hom(F, L)) - 1 + s.  Each point adds 3 (its
+    position), plus 1 (a P^1 of surjections onto its skyscraper), minus 2
+    (chi(Hom(F, L)) falls by 2) to the component dimension, and as much to
+    the tangent dimension (3, plus 2 - 1 in h1(Hom(E,E)), minus 2): both
+    are their value at s = 0 plus 2s.
     """
     if run is None:
         run = component_run(d.reflexive, d.curve)
@@ -496,32 +502,23 @@ def assemble_report(d: ComponentDescriptor,
                          % (d, run.reflexive, run.curve))
     s = d.s
     chi = run.chi_l0 - s
-    chi_hom = chi_hom_fl(d, chi)
+    chi_hom = 2 * chi
     if chi_hom < 1:
         raise ValueError("empty Hom: chi(Hom(F,L)) = %d" % chi_hom)
-    orbit = (chi_hom - 1) + s
-    dim = run.dim_fixed + 3 * s + orbit
-    tangent = run.tangent_fixed + 3 * s + (chi_hom + 2 * s) - (1 + s)
-    if dim != tangent:
-        raise CertificateError("assembly mismatch: %d vs %d" % (dim, tangent))
+    dim = run.dim0 + 2 * s
     notes = run.notes
     if d == M3_DESCRIPTOR and dim != PUBLISHED_M3_DIMENSION:
         # the M3 run, V:1 over a conic, carries no note of its own
         notes += (_m3_note(dim),)
     return ComponentReport(
         descriptor=d,
-        k=run.chern_e.c2,
-        chern_e=run.chern_e,
+        run=run,
         deg_l=chi + run.genus - 1,
         chi_l=chi,
         chi_hom_fl=chi_hom,
-        hom_orbit_dim=orbit,
+        hom_orbit_dim=chi_hom - 1 + s,
         dim_component=dim,
-        dim_tangent=tangent,
+        dim_tangent=run.tangent0 + 2 * s,
         verdicts=check_conditions(d),
-        signature=SingularitySignature(run.curve_parts, s, run.chern_r.c3),
         erratum_notes=notes,
-        reflexive_chern=run.chern_r,
-        reflexive_chern_closed=run.closed,
-        normal_bundle_h1=run.normal_h1,
     )

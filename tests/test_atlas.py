@@ -308,8 +308,9 @@ def test_passing_cases_get_no_label(monkeypatch):
 
 
 def test_two_route_section_count_can_fail(monkeypatch):
-    # the report's own field is computed through transform's binding, so
-    # only the check's second route sees the change
+    # the report's own field is 2*chi(L), and its run compares the routes
+    # through transform's binding, so only the check's second route sees
+    # the change
     monkeypatch.setattr(atlas, "chi_hom_fl", lambda d, chi: 2 * chi + 1)
     summary = verify_atlas(EnumerationOptions(k=6))
     checks = {c.name: c for c in summary.checks}
@@ -337,10 +338,32 @@ def test_transformed_chern_can_fail(monkeypatch):
 
     def built(d, **kwargs):
         r = real(d, **kwargs)
-        return r._replace(chern_e=ChernData(opts.k, 2)) if d == target else r
+        if d != target:
+            return r
+        return r._replace(run=r.run._replace(chern_e=ChernData(opts.k, 2)))
     monkeypatch.setattr(atlas, "build_report", built)
     checks = {c.name: c for c in verify_atlas(opts).checks}
     broken = checks.pop("transformed-chern")
+    assert (broken.passed, broken.failed) == (len(reports) - 1, 1)
+    assert broken.failures == ("%s %s s=%d" % (
+        reflexive_tag(target.reflexive), curve_tag(target.curve), target.s),)
+    assert all(c.failed == 0 for c in checks.values())
+
+
+def test_tangent_equals_component_can_fail(monkeypatch):
+    # dim_tangent is a stored number, not a read of dim_component, so
+    # _replace can set it and the check compares two numbers
+    opts = EnumerationOptions(k=6)
+    reports = tuple(iter_components(opts))
+    target = reports[3].descriptor
+    real = atlas.build_report
+
+    def built(d, **kwargs):
+        r = real(d, **kwargs)
+        return r._replace(dim_tangent=r.dim_tangent + 1) if d == target else r
+    monkeypatch.setattr(atlas, "build_report", built)
+    checks = {c.name: c for c in verify_atlas(opts).checks}
+    broken = checks.pop("tangent-equals-component")
     assert (broken.passed, broken.failed) == (len(reports) - 1, 1)
     assert broken.failures == ("%s %s s=%d" % (
         reflexive_tag(target.reflexive), curve_tag(target.curve), target.s),)

@@ -282,7 +282,7 @@ def run_limited(limit_mb, *argv):
 def test_out_of_memory_exits_4():
     # verify holds one atlas at a time, so its memory grows with the largest
     # k: under 24 MB, --max-k 12 fits and --max-k 42 does not (on Linux
-    # x86-64 the first fits down to 19 MB, the second runs out up to 29 MB).
+    # x86-64 the first fits down to 19 MB, the second runs out up to 27 MB).
     # The control shows that the limit does not merely stop the interpreter
     # from starting.
     assert run_limited(24, "verify", "--max-k", "12") == (0, "")

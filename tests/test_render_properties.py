@@ -8,10 +8,10 @@ from sheafatlas.p3rr import ChernData
 from sheafatlas.render import report_json
 from sheafatlas.transform import (
     ComponentReport,
+    ComponentRun,
     ConditionStatus,
     ConditionVerdict,
     ErratumNote,
-    SingularitySignature,
 )
 from test_render import descriptor, report_oracle_text
 
@@ -43,21 +43,25 @@ DESCRIPTOR = st.builds(
 
 @settings(max_examples=60, deadline=None)
 @given(
-    d=DESCRIPTOR, ints=st.lists(INT, min_size=9, max_size=9),
+    d=DESCRIPTOR, run_ints=st.lists(INT, min_size=5, max_size=5),
+    ints=st.lists(INT, min_size=6, max_size=6),
     chern_e=CHERN, chern_r=CHERN,
     closed=st.one_of(st.none(), st.tuples(INT, INT)),
     verdicts=st.lists(VERDICT, max_size=3).map(tuple),
     curve_parts=st.lists(st.tuples(INT, INT), max_size=3).map(tuple),
     notes=st.lists(NOTE, max_size=2).map(tuple),
 )
-def test_report_json_is_the_oracle_tree(d, ints, chern_e, chern_r, closed,
-                                        verdicts, curve_parts, notes):
+def test_report_json_is_the_oracle_tree(d, run_ints, ints, chern_e, chern_r,
+                                        closed, verdicts, curve_parts, notes):
+    # the run's numbers and the report's per-s numbers are drawn apart; k
+    # is chern_e.c2, and the signature reads d.s and c3(R)
+    run = ComponentRun(
+        reflexive=d.reflexive, curve=d.curve, chern_r=chern_r,
+        chern_e=chern_e, chi_l0=run_ints[0], genus=run_ints[1],
+        normal_h1=run_ints[2], dim0=run_ints[3], tangent0=run_ints[4],
+        closed=closed, notes=notes, curve_parts=curve_parts)
     report = ComponentReport(
-        descriptor=d, k=ints[0], chern_e=chern_e, deg_l=ints[1],
-        chi_l=ints[2], chi_hom_fl=ints[3], hom_orbit_dim=ints[4],
-        dim_component=ints[5], dim_tangent=ints[6], verdicts=verdicts,
-        signature=SingularitySignature(curve_parts, ints[7], ints[8]),
-        erratum_notes=notes, reflexive_chern=chern_r,
-        reflexive_chern_closed=closed, normal_bundle_h1=ints[0] - ints[8],
-    )
+        descriptor=d, run=run, deg_l=ints[0], chi_l=ints[1],
+        chi_hom_fl=ints[2], hom_orbit_dim=ints[3], dim_component=ints[4],
+        dim_tangent=ints[5], verdicts=verdicts, erratum_notes=notes)
     assert report_json(report) == report_oracle_text(report)

@@ -121,6 +121,14 @@ def test_cli_import_skips_dataclasses_and_inspect():
     assert stdout == "[]\n"
 
 
+def _defines_behaviour(node) -> bool:
+    """A `def` (method, `__new__` or decorated property), or a
+    `name = property(...)` assignment."""
+    return isinstance(node, ast.FunctionDef) or (
+        isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+        and ast.unparse(node.value.func) == "property")
+
+
 def bare_value_subclasses(source: str) -> list[str]:
     """Classes built on a `namedtuple(...)` call that define no `__new__`,
     method or property: each is the named tuple itself, written twice."""
@@ -130,8 +138,7 @@ def bare_value_subclasses(source: str) -> list[str]:
                 and any(isinstance(b, ast.Call) and ast.unparse(b.func) in
                         ("namedtuple", "collections.namedtuple")
                         for b in node.bases)
-                and not any(isinstance(n, ast.FunctionDef)
-                            for n in node.body)):
+                and not any(map(_defines_behaviour, node.body))):
             bare.append(node.name)
     return sorted(bare)
 
@@ -145,6 +152,8 @@ def test_the_guard_sees_bare_value_subclasses():
         '    def __new__(cls, x):\n        return tuple.__new__(cls, (x,))\n'
         'class Shown(namedtuple("Shown", "x")):\n    @property\n'
         '    def y(self):\n        return self.x\n'
+        'class Read(namedtuple("Read", "x")):\n    __slots__ = ()\n'
+        '    y = property(lambda r: r.x)\n'
         'class Other(tuple):\n    __slots__ = ()\n'
         'Plain = namedtuple("Plain", "x")\n')
     assert bare_value_subclasses(source) == ["Bare", "Dotted"]

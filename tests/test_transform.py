@@ -500,7 +500,7 @@ def test_enumeration_derives_run_parts_once_per_run(monkeypatch):
     split_runs = [run for run in runs if isinstance(run[0], SplitResolution)]
     assert (len(reports), len(runs), len(split_runs)) == (1344, 69, 38)
     assert calls == {**dict.fromkeys(RUN_PARTS, 69),
-                     "chern_sabc_closed": 38, "chi_hom_fl": 1344}
+                     "chern_sabc_closed": 38, "chi_hom_fl": 69}
 
 
 def test_transformed_chern_all_descriptors():
