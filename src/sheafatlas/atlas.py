@@ -242,7 +242,7 @@ def verify_atlas(opts: EnumerationOptions) -> VerificationSummary:
          _distinct, lambda _: "duplicates found"),
         ("signature-distinctness", [[
             (type(r.descriptor.reflexive), r.reflexive_chern,
-             r.signature.curve_parts, r.descriptor.s) for r in reports]],
+             r.run.curve_parts, r.descriptor.s) for r in reports]],
          _distinct, lambda _: "colliding signatures"),
         ("rerun-determinism", [reports],
          lambda held: _walks_again(opts, held),

@@ -15,11 +15,11 @@ erratum notes, whose values vary in shape, go through json.dumps, once per
 change of value from one report to the next, as does the atlas header,
 once.
 
-Each writer formats a run's tags and notes once per change of value, and
-JSON its closed form and curve parts too, with an lru_cache of size 1 that
-the writer makes for itself.  Its verdict texts share one lru_cache that
-holds two whole ledgers, so a verdict that every ledger shares is written
-once per atlas.  json and csv are imported by the writers that use them.
+Each writer formats a run's text once per run, when a report's run is not
+the one before it, and JSON notes once per change of value, with an
+lru_cache of size 1.  Verdict texts share one lru_cache that holds two
+whole ledgers, so a verdict that every ledger shares is written once per
+atlas.  json and csv are imported by the writers that use them.
 """
 
 from __future__ import annotations
@@ -76,8 +76,9 @@ def _note_dict(note: ErratumNote) -> dict:
 
 
 # One report as json.dumps(indent=2, sort_keys=True) lays it out, with its
-# opening brace at column 0.  The %s slots take strings, "null" or blocks
-# that _report_writer builds already indented.
+# opening brace at column 0.  The run fills the % slots, which leaves the
+# %% slots as % slots for what varies with s.  The %s slots take strings,
+# "null" or blocks that _report_writer builds already indented.
 _REPORT = """{
   "chern_E": {
     "c1": 0,
@@ -94,26 +95,26 @@ _REPORT = """{
       "rank": 2
     }
   },
-  "chi_L": %d,
-  "chi_hom_FL": %d,
-  "deg_L": %d,
+  "chi_L": %%d,
+  "chi_hom_FL": %%d,
+  "deg_L": %%d,
   "descriptor": {
     "curve": %s,
     "reflexive": %s,
-    "s": %d
+    "s": %%d
   },
-  "dim_component": %d,
-  "dim_tangent": %d,
-  "erratum_notes": %s,
-  "hom_orbit_dim": %d,
+  "dim_component": %%d,
+  "dim_tangent": %%d,
+  "erratum_notes": %%s,
+  "hom_orbit_dim": %%d,
   "k": %d,
   "normal_bundle_h1": %d,
   "signature": {
     "curve_parts": %s,
-    "isolated_points_from_W": %d,
+    "isolated_points_from_W": %%d,
     "reflexive_sing_c3": %d
   },
-  "verdicts": %s
+  "verdicts": %%s
 }"""
 _CLOSED_FORM = """{
       "c2": %d,
@@ -142,44 +143,45 @@ def _list(items: list, close: str) -> str:
 
 def _report_writer(pad: str):
     """A function that writes one report from the _REPORT template, every
-    line after the first indented by pad.  A run's reports share their notes,
-    so the notes go through json.dumps once per change of value."""
+    line after the first indented by pad.  A new run fills the run's slots
+    once; each report then fills the slots that vary with s."""
     from json.encoder import encode_basestring_ascii as _str
     nl = "\n" + pad
     report, closed_form, curve_part, verdict = (
         t.replace("\n", nl)
         for t in (_REPORT, _CLOSED_FORM, _CURVE_PART, _VERDICT))
 
+    @lru_cache(maxsize=1)
     def notes_text(notes) -> str:
         if not notes:
             return "[]"
         import json
         return json.dumps([_note_dict(n) for n in notes], indent=2,
                           sort_keys=True).replace("\n", nl + "  ")
-    last = lru_cache(maxsize=1)
-    notes = last(notes_text)
     verdict_text = lru_cache(maxsize=2 * len(CONDITION_IDS))(
         lambda v: verdict % (
             _str(v.condition), _str(v.note), _str(v.status.value)))
-    closed_text = last(lambda c: "null" if c is None else
-                       closed_form % ((c[0],) + halved(c[1])[1:]))
-    curve = last(lambda c: _str(curve_tag(c)))
-    reflexive = last(lambda f: _str(reflexive_tag(f)))
-    curve_parts = last(lambda parts: _list(
-        [curve_part % p for p in parts], nl + "    ]"))
+    run = template = run_notes = None
 
     def write(r: ComponentReport) -> str:
-        d, e, o, sig = r.descriptor, r.chern_e, r.reflexive_chern, r.signature
-        return report % (
-            e.c2, e.c3, closed_text(r.reflexive_chern_closed), o.c2, o.c3,
-            r.chi_l, r.chi_hom_fl, r.deg_l,
-            curve(d.curve), reflexive(d.reflexive), d.s,
-            r.dim_component, r.dim_tangent, notes(r.erratum_notes),
-            r.hom_orbit_dim, r.k, r.normal_bundle_h1,
-            curve_parts(sig.curve_parts),
-            sig.isolated_points_from_w, sig.reflexive_sing_c3,
-            _list([*map(verdict_text, r.verdicts)], nl + "  ]"),
-        )
+        nonlocal run, template, run_notes
+        if r.run is not run:
+            run, e, o, c = r.run, r.run.chern_e, r.run.chern_r, r.run.closed
+            # tags, ints and blocks of ints: the run's values hold no %
+            template = report % (
+                e.c2, e.c3, "null" if c is None else
+                closed_form % ((c[0],) + halved(c[1])[1:]), o.c2, o.c3,
+                _str(curve_tag(run.curve)), _str(reflexive_tag(run.reflexive)),
+                e.c2, run.normal_h1,
+                _list([curve_part % p for p in run.curve_parts], nl + "    ]"),
+                o.c3)
+            run_notes = notes_text(run.notes)
+        s, notes = r.descriptor.s, r.erratum_notes
+        return template % (
+            r.chi_l, r.chi_hom_fl, r.deg_l, s, r.dim_component, r.dim_tangent,
+            run_notes if notes is run.notes else notes_text(notes),
+            r.hom_orbit_dim, s,
+            _list([*map(verdict_text, r.verdicts)], nl + "  ]"))
     return write
 
 
@@ -230,28 +232,27 @@ def report_json(report: ComponentReport) -> str:
 
 
 def _csv_row_writer():
-    """A function that gives one report's CSV cells, in CSV_HEADER order."""
-    last = lru_cache(maxsize=1)
+    """A function that gives one report's CSV cells, in CSV_HEADER order.
+    A new run builds the run's cells and notes text once."""
     condition = lru_cache(maxsize=2 * len(CONDITION_IDS))(
         lambda v: "%s=%s" % (v.condition, v.status.value))
-    notes = last(lambda notes: "; ".join(n.message for n in notes))
-    reflexive, curve = last(reflexive_tag), last(curve_tag)
+    run = cells = run_notes = None
 
-    def row(report: ComponentReport) -> list:
-        d = report.descriptor
-        return [
-            report.k,
-            reflexive(d.reflexive),
-            curve(d.curve),
-            d.s,
-            report.deg_l,
-            report.chi_l,
-            report.chi_hom_fl,
-            report.dim_component,
-            report.dim_tangent,
-            "|".join(map(condition, report.verdicts)),
-            notes(report.erratum_notes),
-        ]
+    def notes_text(notes) -> str:
+        return "; ".join(n.message for n in notes)
+
+    def row(r: ComponentReport) -> list:
+        nonlocal run, cells, run_notes
+        if r.run is not run:
+            run = r.run
+            cells = [run.chern_e.c2, reflexive_tag(run.reflexive),
+                     curve_tag(run.curve)]
+            run_notes = notes_text(run.notes)
+        notes = r.erratum_notes
+        return cells + [
+            r.descriptor.s, r.deg_l, r.chi_l, r.chi_hom_fl, r.dim_component,
+            r.dim_tangent, "|".join(map(condition, r.verdicts)),
+            run_notes if notes is run.notes else notes_text(notes)]
     return row
 
 
@@ -330,9 +331,7 @@ def report_table(report: ComponentReport) -> str:
         "dim component   %d" % report.dim_component,
         "dim tangent     %d" % report.dim_tangent,
         "signature       curve=%s points=%d reflexive_c3=%d" % (
-            list(report.signature.curve_parts),
-            report.signature.isolated_points_from_w,
-            report.signature.reflexive_sing_c3),
+            list(report.run.curve_parts), d.s, oracle.c3),
         "h1(N_C)         %d" % report.normal_bundle_h1,
         "conditions:",
     ]

@@ -12,6 +12,7 @@ import io
 import json
 from collections import Counter
 from fractions import Fraction
+from itertools import groupby, zip_longest
 
 import pytest
 
@@ -20,10 +21,12 @@ from sheafatlas.atlas import (
     EnumerationOptions,
     VerificationSummary,
     iter_components,
+    verify_atlas,
 )
 from sheafatlas.render import (
     CSV_HEADER,
     SCHEMA_VERSION,
+    report_csv,
     report_json,
     report_table,
     verification_text,
@@ -33,7 +36,9 @@ from sheafatlas.transform import (
     M3_DESCRIPTOR,
     PUBLISHED_M3_PRIOR_COMPONENTS,
     ComponentDescriptor,
+    ComponentReport,
     ConditionStatus,
+    ErratumNote,
     assemble_report,
     build_report,
     curve_tag,
@@ -237,11 +242,39 @@ def test_a_verdict_every_ledger_shares_is_written_once(monkeypatch):
     assert calls.count("points-bound") == len(reports)
 
 
+def test_writers_read_no_run_level_property(monkeypatch):
+    # The writers read a report's run once per run, and its per-s fields;
+    # signature-distinctness keys each report by its run's curve parts.
+    reads = Counter()
+    for name in ("k", "chern_e", "reflexive_chern", "reflexive_chern_closed",
+                 "normal_bundle_h1", "signature"):
+        monkeypatch.setattr(ComponentReport, name, property(
+            lambda r, name=name, read=getattr(ComponentReport, name).fget:
+            reads.update([name]) or read(r)))
+    opts = EnumerationOptions(22)
+    reports = tuple(iter_components(opts))
+    assert reports[0].signature.reflexive_sing_c3 == reports[0].run.chern_r.c3
+    assert reads["signature"] == 1
+    for fmt in ("json", "csv", "table"):
+        reads.clear()
+        written(opts, reports, fmt)
+        assert reads == Counter(), fmt
+    verify_atlas(EnumerationOptions(12))
+    assert reads["signature"] == 0
+
+
+def rows_one_at_a_time(reports):
+    """The CSV of reports written one at a time, under one header."""
+    return ",".join(CSV_HEADER) + "\n" + "".join(
+        report_csv(r).partition("\n")[2] for r in reports)
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
 def test_memos_keyed_by_value_never_change_bytes(fmt):
-    # Each report built on its own: equal values, but no run, notes tuple
-    # or ledger shared with its neighbours, so the memos see equal values
-    # in new objects.
+    # The writers memoize a run's text per run, by identity, and only the
+    # notes and the verdicts by value.  Each report built on its own: equal
+    # values, but no run, notes tuple or ledger shared with its neighbours,
+    # so the value-keyed memos see equal values in new objects.
     for floor, top in ((2, 16), (1, 6)):
         for k in range(3, top + 1):
             opts = EnumerationOptions(k, floor)
@@ -250,6 +283,36 @@ def test_memos_keyed_by_value_never_change_bytes(fmt):
                             for r in reports)
             assert rebuilt == reports
             assert written(opts, rebuilt, fmt) == written(opts, reports, fmt)
+    # The identity misses: the runs' members interleaved round-robin, so a
+    # run comes back after others; and one report mid-run whose notes are
+    # its run's plus one, which the run's notes text must not stand for.
+    opts = EnumerationOptions(12)
+    reports = tuple(iter_components(opts))
+    runs = [list(run) for _, run in groupby(reports, lambda r: r.run)]
+    reordered = [r for members in zip_longest(*runs) for r in members
+                 if r is not None]
+    assert len(reordered) == len(reports)
+    # more changes of run than runs: some run comes back
+    assert sum(a.run is not b.run
+               for a, b in zip(reordered, reordered[1:])) > len(runs)
+    i, r = next((i, r) for i, r in enumerate(reports) if r.run.notes
+                and 0 < r.descriptor.s and reports[i + 1].run is r.run)
+    noted = r._replace(erratum_notes=r.run.notes + (ErratumNote(
+        "extra-note", "one more note", (("s", r.descriptor.s),)),))
+    assert report_json(noted) == report_oracle_text(noted)
+    with_noted = reports[:i] + (noted,) + reports[i + 1:]
+    for held in (reordered, with_noted):
+        if fmt == "json":
+            expected = oracle_text(atlas_oracle(opts, held))
+        elif fmt == "csv":
+            expected = rows_one_at_a_time(held)
+        else:
+            expected = table_oracle(opts, held)
+        assert written(opts, held, fmt) == expected
+    # the CSV and table oracles write rows with the CSV writer, so the noted
+    # row's notes cell is checked against its notes here
+    rows = list(csv.reader(io.StringIO(written(opts, with_noted, "csv"))))
+    assert rows[i + 1][-1] == "; ".join(n.message for n in noted.erratum_notes)
 
 
 @pytest.mark.parametrize("reflexive, curve, s, code, closed_form, c3", [
