@@ -8,7 +8,8 @@ integer values of a Hilbert polynomial through the Riemann-Roch dictionary
 in `p3rr`.  Closed-form formulas are compared with a second route, and
 disagreements are reported rather than repaired.  The section-count and
 tangent-dimension comparisons restate their first route instead; ROADMAP
-item 4 lists the independent routes meant to replace them.
+lists the independent routes meant to replace them: chi(E,E), Whitney and
+the spectrum.
 
 The root binds no names of its own: import each from its module, e.g.
 `sheafatlas.transform.build_report`.  It imports `exactpoly`, whose

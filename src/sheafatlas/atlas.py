@@ -208,11 +208,11 @@ def verify_atlas(opts: EnumerationOptions) -> VerificationSummary:
 
     rows = (
         ("c2-additivity", reports,
-         lambda r: r.k == opts.k and r.chern_e.c2
+         lambda r: opts.k == r.run.chern_e.c2
          == chern_of(r.descriptor.reflexive).c2 + r.descriptor.curve.degree,
          _report_label),
         ("transformed-chern", reports,
-         lambda r: r.chern_e.c3 == 0, _report_label),
+         lambda r: r.run.chern_e.c3 == 0, _report_label),
         ("two-route-section-count", reports,
          lambda r: chi_hom_fl(r.descriptor, r.chi_l) == 2 * r.chi_l,
          _report_label),
@@ -241,8 +241,9 @@ def verify_atlas(opts: EnumerationOptions) -> VerificationSummary:
         ("descriptor-uniqueness", [[r.descriptor for r in reports]],
          _distinct, lambda _: "duplicates found"),
         ("signature-distinctness", [[
-            (type(r.descriptor.reflexive), r.reflexive_chern,
-             r.run.curve_parts, r.descriptor.s) for r in reports]],
+            (type(r.descriptor.reflexive), r.run.chern_r,
+             r.descriptor.curve.degree, r.run.genus, r.descriptor.s)
+            for r in reports]],
          _distinct, lambda _: "colliding signatures"),
         ("rerun-determinism", [reports],
          lambda held: _walks_again(opts, held),

@@ -110,7 +110,12 @@ _REPORT = """{
   "k": %d,
   "normal_bundle_h1": %d,
   "signature": {
-    "curve_parts": %s,
+    "curve_parts": [
+      [
+        %d,
+        %d
+      ]
+    ],
     "isolated_points_from_W": %%d,
     "reflexive_sing_c3": %d
   },
@@ -123,11 +128,6 @@ _CLOSED_FORM = """{
         "num": %d
       }
     }"""
-_CURVE_PART = """
-      [
-        %d,
-        %d
-      ]"""
 _VERDICT = """
     {
       "condition": %s,
@@ -147,9 +147,8 @@ def _report_writer(pad: str):
     once; each report then fills the slots that vary with s."""
     from json.encoder import encode_basestring_ascii as _str
     nl = "\n" + pad
-    report, closed_form, curve_part, verdict = (
-        t.replace("\n", nl)
-        for t in (_REPORT, _CLOSED_FORM, _CURVE_PART, _VERDICT))
+    report, closed_form, verdict = (
+        t.replace("\n", nl) for t in (_REPORT, _CLOSED_FORM, _VERDICT))
 
     @lru_cache(maxsize=1)
     def notes_text(notes) -> str:
@@ -172,9 +171,7 @@ def _report_writer(pad: str):
                 e.c2, e.c3, "null" if c is None else
                 closed_form % ((c[0],) + halved(c[1])[1:]), o.c2, o.c3,
                 _str(curve_tag(run.curve)), _str(reflexive_tag(run.reflexive)),
-                e.c2, run.normal_h1,
-                _list([curve_part % p for p in run.curve_parts], nl + "    ]"),
-                o.c3)
+                e.c2, run.normal_h1, run.curve.degree, run.genus, o.c3)
             run_notes = notes_text(run.notes)
         s, notes = r.descriptor.s, r.erratum_notes
         return template % (
@@ -312,14 +309,13 @@ def verdict_line(v: ConditionVerdict) -> str:
 
 def report_table(report: ComponentReport) -> str:
     """Key/value detail view for a single descriptor."""
-    d = report.descriptor
-    closed = report.reflexive_chern_closed
-    oracle = report.reflexive_chern
+    d, run = report.descriptor, report.run
+    closed, oracle = run.closed, run.chern_r
     lines = [
         "descriptor      %s  %s  s=%d" % (
             reflexive_tag(d.reflexive), curve_tag(d.curve), d.s),
-        "k               %d" % report.k,
-        "chern(E)        rank=2 c1=0 c2=%d c3=%d" % report.chern_e,
+        "k               %d" % run.chern_e.c2,
+        "chern(E)        rank=2 c1=0 c2=%d c3=%d" % run.chern_e,
         "chern(R)        resolution oracle: c2=%d c3=%d%s" % (
             oracle.c2, oracle.c3,
             "" if closed is None else
@@ -330,9 +326,9 @@ def report_table(report: ComponentReport) -> str:
         "orbit dim       %d" % report.hom_orbit_dim,
         "dim component   %d" % report.dim_component,
         "dim tangent     %d" % report.dim_tangent,
-        "signature       curve=%s points=%d reflexive_c3=%d" % (
-            list(report.run.curve_parts), d.s, oracle.c3),
-        "h1(N_C)         %d" % report.normal_bundle_h1,
+        "signature       curve=[(%d, %d)] points=%d reflexive_c3=%d" % (
+            d.curve.degree, run.genus, d.s, oracle.c3),
+        "h1(N_C)         %d" % run.normal_h1,
         "conditions:",
     ]
     lines += [verdict_line(v) for v in report.verdicts]

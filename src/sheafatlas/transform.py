@@ -184,14 +184,6 @@ _FAMILY_VERDICTS = {
 }
 
 
-SingularitySignature = namedtuple(
-    "SingularitySignature",
-    "curve_parts isolated_points_from_w reflexive_sing_c3")
-SingularitySignature.__doc__ = """Decomposition of Sing(E): the curve parts
-(deg C, g), the points of W, and the singular points inherited from the
-reflexive hull (weight c3(R))."""
-
-
 ErratumNote = namedtuple("ErratumNote", "code message values")
 ErratumNote.__doc__ = """A flagged disagreement or literature record attached
 to a report; values is a tuple of (key, value) pairs."""
@@ -207,27 +199,19 @@ def dedup_notes(notes) -> tuple[ErratumNote, ...]:
 
 ComponentRun = namedtuple("ComponentRun", (
     "reflexive curve chern_r chern_e chi_l0 genus normal_h1 dim0 tangent0 "
-    "closed notes curve_parts"))
+    "closed notes"))
 ComponentRun.__doc__ = """What component_run derives and certifies once for
 the reports over (R, C): every report number that does not vary with s,
-and chi(L) and the component and tangent dimensions at s = 0."""
+and chi(L) and the component and tangent dimensions at s = 0.  The closed
+form of c(R) is (c2, 2*c3) in integers, or None for the extension family."""
 
 
-class ComponentReport(namedtuple("ComponentReport", (
-        "descriptor run deg_l chi_l chi_hom_fl hom_orbit_dim dim_component "
-        "dim_tangent verdicts erratum_notes"))):
-    """The member at descriptor.s of its run: the numbers that vary with s,
-    and the run-level numbers as reads of the run.  The closed form is
-    (c2, 2*c3) in integers, or None for the extension family."""
-
-    __slots__ = ()
-    k = property(lambda r: r.run.chern_e.c2)
-    chern_e = property(lambda r: r.run.chern_e)
-    reflexive_chern = property(lambda r: r.run.chern_r)
-    reflexive_chern_closed = property(lambda r: r.run.closed)
-    normal_bundle_h1 = property(lambda r: r.run.normal_h1)
-    signature = property(lambda r: SingularitySignature(
-        r.run.curve_parts, r.descriptor.s, r.run.chern_r.c3))
+ComponentReport = namedtuple("ComponentReport", (
+    "descriptor run deg_l chi_l chi_hom_fl hom_orbit_dim dim_component "
+    "dim_tangent verdicts erratum_notes"))
+ComponentReport.__doc__ = """The member at descriptor.s of its run: the
+numbers that vary with s.  Each number shared by the run has its one name
+on the run, e.g. c2(E) is report.run.chern_e.c2."""
 
 
 def chi_l(d: ComponentDescriptor) -> int:
@@ -262,7 +246,8 @@ def chi_hom_fl(d: ComponentDescriptor, chi: int) -> int:
     chi(L(j)) = chi(L) + j*deg(C).  It is not an independent route: its
     difference from 2*chi(L) is deg(C)*(2k - 3a - 2b - c), which
     SplitResolution forces to 0, so the comparison restates that constraint
-    (ROADMAP item 4 lists the routes meant to replace it).
+    (ROADMAP lists the independent routes meant to replace it: chi(E,E),
+    Whitney and the spectrum).
     """
     value = 2 * chi
     fam = d.reflexive
@@ -455,8 +440,7 @@ def component_run(reflexive: ReflexiveFamily,
             "assembly mismatch: %d vs %d" % (dim0, tangent0))
     return ComponentRun(
         reflexive, curve, chern_r, chern_e, chi_l0, g, normal.h1, dim0,
-        tangent0, closed, _run_notes(reflexive, curve, chern_r, closed),
-        ((curve.degree, g),))
+        tangent0, closed, _run_notes(reflexive, curve, chern_r, closed))
 
 
 def build_report(

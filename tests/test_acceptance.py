@@ -110,9 +110,9 @@ def test_criterion_03_transformation_bookkeeping():
     for k in range(3, 13):
         for report in iter_components(EnumerationOptions(k=k)):
             d = report.descriptor
-            assert type(report.chern_e) is ChernData  # rank 2, c1 = 0
-            assert report.chern_e.c3 == 0
-            assert (report.chern_e.c2
+            assert type(report.run.chern_e) is ChernData  # rank 2, c1 = 0
+            assert report.run.chern_e.c3 == 0
+            assert (report.run.chern_e.c2
                     == chern_of(d.reflexive).c2 + d.curve.degree)
             count += 1
     elapsed = time.perf_counter() - start
@@ -158,7 +158,7 @@ def test_criterion_06_m3_reproduction(capsys):
     report = reports[0]
     assert report.descriptor == ComponentDescriptor(
         IdealExtension(1), RationalCurve(2), 0)
-    assert report.chern_e.c2 == 3
+    assert report.run.chern_e.c2 == 3
     assert report.dim_component == 22
     note = {n.code: n for n in report.erratum_notes}["published-m3-values"]
     assert dict(note.values)["published_dimension"] == 21

@@ -21,7 +21,6 @@ from sheafatlas.atlas import (
     EnumerationOptions,
     VerificationSummary,
     iter_components,
-    verify_atlas,
 )
 from sheafatlas.render import (
     CSV_HEADER,
@@ -36,7 +35,6 @@ from sheafatlas.transform import (
     M3_DESCRIPTOR,
     PUBLISHED_M3_PRIOR_COMPONENTS,
     ComponentDescriptor,
-    ComponentReport,
     ConditionStatus,
     ErratumNote,
     assemble_report,
@@ -65,18 +63,18 @@ def _chern(c):
 
 
 def report_oracle(report):
-    d = report.descriptor
-    closed = report.reflexive_chern_closed
+    d, run = report.descriptor, report.run
+    closed = run.closed
     return {
         "descriptor": {
             "reflexive": reflexive_tag(d.reflexive),
             "curve": curve_tag(d.curve),
             "s": d.s,
         },
-        "k": report.k,
-        "chern_E": _chern(report.chern_e),
+        "k": run.chern_e.c2,
+        "chern_E": _chern(run.chern_e),
         "chern_routes": {
-            "resolution_oracle": _chern(report.reflexive_chern),
+            "resolution_oracle": _chern(run.chern_r),
             "closed_form": None if closed is None else {
                 "c2": closed[0],
                 "c3": _value(Fraction(closed[1], 2)),
@@ -93,11 +91,11 @@ def report_oracle(report):
             for v in report.verdicts
         ],
         "signature": {
-            "curve_parts": [list(p) for p in report.signature.curve_parts],
-            "isolated_points_from_W": report.signature.isolated_points_from_w,
-            "reflexive_sing_c3": report.signature.reflexive_sing_c3,
+            "curve_parts": [[d.curve.degree, run.genus]],
+            "isolated_points_from_W": d.s,
+            "reflexive_sing_c3": run.chern_r.c3,
         },
-        "normal_bundle_h1": report.normal_bundle_h1,
+        "normal_bundle_h1": run.normal_h1,
         "erratum_notes": [
             {"code": n.code, "message": n.message,
              "values": {k: _value(v) for k, v in n.values}}
@@ -240,27 +238,6 @@ def test_a_verdict_every_ledger_shares_is_written_once(monkeypatch):
     assert calls.count("open dense subset of Hom(F, Q)") == 1
     assert calls.count("surjection-exists") == 1
     assert calls.count("points-bound") == len(reports)
-
-
-def test_writers_read_no_run_level_property(monkeypatch):
-    # The writers read a report's run once per run, and its per-s fields;
-    # signature-distinctness keys each report by its run's curve parts.
-    reads = Counter()
-    for name in ("k", "chern_e", "reflexive_chern", "reflexive_chern_closed",
-                 "normal_bundle_h1", "signature"):
-        monkeypatch.setattr(ComponentReport, name, property(
-            lambda r, name=name, read=getattr(ComponentReport, name).fget:
-            reads.update([name]) or read(r)))
-    opts = EnumerationOptions(22)
-    reports = tuple(iter_components(opts))
-    assert reports[0].signature.reflexive_sing_c3 == reports[0].run.chern_r.c3
-    assert reads["signature"] == 1
-    for fmt in ("json", "csv", "table"):
-        reads.clear()
-        written(opts, reports, fmt)
-        assert reads == Counter(), fmt
-    verify_atlas(EnumerationOptions(12))
-    assert reads["signature"] == 0
 
 
 def rows_one_at_a_time(reports):

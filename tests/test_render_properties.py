@@ -48,18 +48,18 @@ DESCRIPTOR = st.builds(
     chern_e=CHERN, chern_r=CHERN,
     closed=st.one_of(st.none(), st.tuples(INT, INT)),
     verdicts=st.lists(VERDICT, max_size=3).map(tuple),
-    curve_parts=st.lists(st.tuples(INT, INT), max_size=3).map(tuple),
     notes=st.lists(NOTE, max_size=2).map(tuple),
 )
 def test_report_json_is_the_oracle_tree(d, run_ints, ints, chern_e, chern_r,
-                                        closed, verdicts, curve_parts, notes):
+                                        closed, verdicts, notes):
     # the run's numbers and the report's per-s numbers are drawn apart; k
-    # is chern_e.c2, and the signature reads d.s and c3(R)
+    # is chern_e.c2, and the signature reads deg C, the run's genus, d.s
+    # and c3(R)
     run = ComponentRun(
         reflexive=d.reflexive, curve=d.curve, chern_r=chern_r,
         chern_e=chern_e, chi_l0=run_ints[0], genus=run_ints[1],
         normal_h1=run_ints[2], dim0=run_ints[3], tangent0=run_ints[4],
-        closed=closed, notes=notes, curve_parts=curve_parts)
+        closed=closed, notes=notes)
     report = ComponentReport(
         descriptor=d, run=run, deg_l=ints[0], chi_l=ints[1],
         chi_hom_fl=ints[2], hom_orbit_dim=ints[3], dim_component=ints[4],

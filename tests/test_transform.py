@@ -222,7 +222,7 @@ def test_stability_margin_is_the_polynomial_difference():
             continue
         deg = d.curve.degree
         # P(I) in binomial coordinates: (g - 1 - s + deg, -deg, 0, 1)
-        n0, n1, n2, n3 = hp_from_chern(report.chern_e).coords
+        n0, n1, n2, n3 = hp_from_chern(report.run.chern_e).coords
         margin = HilbertPolynomial(n0 - 2 * (genus(d.curve) - 1 - d.s + deg),
                                    n1 + 2 * deg, n2, n3 - 2)
         assert margin.coords[2:] == (0, 0)
@@ -240,24 +240,20 @@ def test_nonlinear_stability_margin_raises(monkeypatch, extra):
 
 
 def test_signature_examples():
-    sig = assemble_report(V1_CONIC).signature
-    assert sig.curve_parts == ((2, 0),)
-    assert sig.isolated_points_from_w == 0
-    assert sig.reflexive_sing_c3 == 2
-
-    sig = assemble_report(S002_CONIC_1PT).signature
-    assert (sig.curve_parts, sig.isolated_points_from_w,
-            sig.reflexive_sing_c3) == (((2, 0),), 1, 4)
-
-    sig = assemble_report(ComponentDescriptor(
-        SplitResolution(0, 1, 0), CompleteIntersection(2, 2), 3)).signature
-    assert (sig.curve_parts, sig.isolated_points_from_w,
-            sig.reflexive_sing_c3) == (((4, 1),), 3, 8)
+    # Sing(E): the curve part (deg C, g), the s points of W, and the
+    # singular points inherited from R, of weight c3(R)
+    for d, signature in [
+            (V1_CONIC, (2, 0, 0, 2)),
+            (S002_CONIC_1PT, (2, 0, 1, 4)),
+            (ComponentDescriptor(SplitResolution(0, 1, 0),
+                                 CompleteIntersection(2, 2), 3), (4, 1, 3, 8))]:
+        run = assemble_report(d).run
+        assert (d.curve.degree, run.genus, d.s, run.chern_r.c3) == signature
 
 
 def test_build_report_m3_flags_published_dimension():
     report = build_report(V1_CONIC)
-    assert report.k == 3
+    assert report.run.chern_e.c2 == 3
     assert report.dim_component == 22
     codes = [n.code for n in report.erratum_notes]
     assert codes == ["published-m3-values"]
@@ -283,12 +279,12 @@ def test_a_member_of_another_run_is_refused():
 
 def test_build_report_examples():
     report = build_report(S002_CONIC)
-    assert (report.k, report.dim_component) == (4, 32)
+    assert (report.run.chern_e.c2, report.dim_component) == (4, 32)
     assert report.erratum_notes == ()
 
     report = build_report(
         ComponentDescriptor(IdealExtension(1), RationalCurve(3), 0))
-    assert (report.k, report.dim_component) == (4, 30)
+    assert (report.run.chern_e.c2, report.dim_component) == (4, 30)
     assert report.chi_hom_fl == 14
 
 
@@ -421,7 +417,7 @@ def test_broken_certificates_raise_on_the_walk(monkeypatch, breakage,
                                                descriptor, message):
     # The walk builds each run's certificates once, for all its members: a
     # breakage must stop it, and also stop an s > 0 member built alone.
-    opts = EnumerationOptions(assemble_report(descriptor).k)
+    opts = EnumerationOptions(assemble_report(descriptor).run.chern_e.c2)
     run = (descriptor.reflexive, descriptor.curve)
     walk = list(atlas.iter_components(opts))
     assert run in {(r.descriptor.reflexive, r.descriptor.curve) for r in walk}
@@ -506,9 +502,9 @@ def test_enumeration_derives_run_parts_once_per_run(monkeypatch):
 def test_transformed_chern_all_descriptors():
     for report in all_reports():
         d = report.descriptor
-        assert type(report.chern_e) is ChernData  # rank 2, c1 = 0
-        assert report.chern_e.c3 == 0
-        assert report.chern_e.c2 == report.reflexive_chern.c2 + d.curve.degree
+        assert type(report.run.chern_e) is ChernData  # rank 2, c1 = 0
+        assert report.run.chern_e.c3 == 0
+        assert report.run.chern_e.c2 == report.run.chern_r.c2 + d.curve.degree
 
 
 def test_tangent_equals_component_all_descriptors():

@@ -21,7 +21,7 @@ VALUE_TYPES = [
     curvecoh.CurveCohomology,
     families.SplitResolution, families.IdealExtension, families.ExtProfile,
     transform.ComponentDescriptor, transform.ConditionVerdict,
-    transform.SingularitySignature, transform.ErratumNote,
+    transform.ErratumNote,
     transform.ComponentReport, transform.ComponentRun,
     atlas.EnumerationOptions, atlas.CheckResult,
     atlas.VerificationSummary,
@@ -33,12 +33,12 @@ def _samples() -> list:
     opts = EnumerationOptions(3)
     summary = verify_atlas(opts)
     return [
-        report.chern_e,
+        report.run.chern_e,
         RationalCurve(2), CompleteIntersection(2, 2),
         curvecoh.cohomology_oc(RationalCurve(2), 1),
         SplitResolution(0, 0, 2), IdealExtension(1),
         families.ext_profile(IdealExtension(1)),
-        report.descriptor, report.verdicts[0], report.signature,
+        report.descriptor, report.verdicts[0],
         report.erratum_notes[0], report,
         transform.component_run(IdealExtension(1), RationalCurve(2)),
         opts, summary.checks[0], summary,
@@ -122,7 +122,7 @@ def test_a_value_type_in_a_note_still_fails_to_render():
     # json.dumps writes any tuple as a list; render refuses a named tuple
     # instead of writing a ChernData note value as a bare list.
     report = transform.build_report(transform.M3_DESCRIPTOR)
-    note = ErratumNote("code", "message", (("chern", report.chern_e),))
+    note = ErratumNote("code", "message", (("chern", report.run.chern_e),))
     with pytest.raises(TypeError, match="ChernData is not JSON serializable"):
         render.report_json(report._replace(erratum_notes=(note,)))
     plain = ErratumNote("code", "message", (("spectrum", (-1, 0, 1)),))
