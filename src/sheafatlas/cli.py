@@ -4,10 +4,10 @@ Three subcommands: `enumerate` lists every component for a target c2,
 `describe` prints the full report for a single descriptor, and `verify`
 runs the invariant suites.  Exit codes are stable: 0 on success, 1 when
 `verify` finds a failing check, 2 on a usage error (including an
-unwritable --output path or stdout), 3 when a described descriptor is
-inadmissible (the report is still printed, with the failing verdicts), 4
-when the run exhausts memory, and 130 when interrupted with Ctrl-C (each of
-the last two with one line on stderr and no traceback).
+unwritable --output path or stdout), 3 when a descriptor is inadmissible
+(the report is still printed; stderr says why: a failing verdict or a
+curve below the degree floor), 4 when the run exhausts memory, and 130 on
+Ctrl-C (both with one line on stderr and no traceback).
 Output is deterministic; no environment variables or randomness are
 consulted.
 

@@ -8,18 +8,21 @@ integers are JSON numbers, and the closed-form c3, which may be
 half-integral, is written as a {"num": ..., "den": ...} object from the
 integer 2*c3, as is the closed_form value of its erratum note.
 
-Schema-1 JSON is written from one fixed per-report template whose keys are
-spelled out in sorted order.  Its bytes are those json.dumps(indent=2,
-sort_keys=True) gives for the same tree, without building the tree: only
-erratum notes, whose values vary in shape, go through json.dumps, once per
-change of value from one report to the next, as does the atlas header,
-once.
+Schema-1 JSON takes its layout from json.dumps(indent=2, sort_keys=True)
+alone.  A report, its closed form and a verdict are trees whose leaves are
+% slots; each JSON writer lays them out once with _layout, which unquotes
+the slots, as it does the atlas header or report_json's wrapper.  Each
+report's bytes are then the template with its slots filled, as json.dumps
+would give for the report's own tree, without building that tree.  Erratum
+notes, whose values vary in shape, go through json.dumps themselves, once
+per change of value from one report to the next.
 
 Each writer formats a run's text once per run, when a report's run is not
-the one before it, and JSON notes once per change of value, with an
-lru_cache of size 1.  Verdict texts share one lru_cache that holds two
-whole ledgers, so a verdict that every ledger shares is written once per
-atlas.  json and csv are imported by the writers that use them.
+the one before it: JSON fills the run's slots then, which leaves a template
+with the slots that vary with s.  JSON notes are kept in an lru_cache of
+size 1.  Verdict texts share one lru_cache that holds two whole ledgers, so
+a verdict that every ledger shares is written once per atlas.  json and csv
+are imported by the writers that use them.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from collections import Counter
 from collections.abc import Iterable
 from functools import lru_cache
 
-from .atlas import EnumerationOptions, VerificationSummary
 from .families import halved
 from .transform import (
     CONDITION_IDS,
@@ -75,65 +77,36 @@ def _note_dict(note: ErratumNote) -> dict:
     }
 
 
-# One report as json.dumps(indent=2, sort_keys=True) lays it out, with its
-# opening brace at column 0.  The run fills the % slots, which leaves the
-# %% slots as % slots for what varies with s.  The %s slots take strings,
-# "null" or blocks that _report_writer builds already indented.
-_REPORT = """{
-  "chern_E": {
-    "c1": 0,
-    "c2": %d,
-    "c3": %d,
-    "rank": 2
-  },
-  "chern_routes": {
-    "closed_form": %s,
-    "resolution_oracle": {
-      "c1": 0,
-      "c2": %d,
-      "c3": %d,
-      "rank": 2
-    }
-  },
-  "chi_L": %%d,
-  "chi_hom_FL": %%d,
-  "deg_L": %%d,
-  "descriptor": {
-    "curve": %s,
-    "reflexive": %s,
-    "s": %%d
-  },
-  "dim_component": %%d,
-  "dim_tangent": %%d,
-  "erratum_notes": %%s,
-  "hom_orbit_dim": %%d,
-  "k": %d,
-  "normal_bundle_h1": %d,
-  "signature": {
-    "curve_parts": [
-      [
-        %d,
-        %d
-      ]
-    ],
-    "isolated_points_from_W": %%d,
-    "reflexive_sing_c3": %d
-  },
-  "verdicts": %%s
-}"""
-_CLOSED_FORM = """{
-      "c2": %d,
-      "c3": {
-        "den": %d,
-        "num": %d
-      }
-    }"""
-_VERDICT = """
-    {
-      "condition": %s,
-      "note": %s,
-      "status": %s
-    }"""
+# One report as a tree whose leaves are % slots, for _layout.  The run
+# fills the % slots, which leaves the %% slots as % slots for what varies
+# with s.  The %s slots take strings, "null" or blocks that _report_writer
+# lays out already indented.  Slots are filled in sorted key order.
+_CHERN = {"c1": 0, "c2": "%d", "c3": "%d", "rank": 2}
+_REPORT = {
+    "chern_E": _CHERN,
+    "chern_routes": {"closed_form": "%s", "resolution_oracle": _CHERN},
+    "chi_L": "%%d", "chi_hom_FL": "%%d", "deg_L": "%%d",
+    "descriptor": {"curve": "%s", "reflexive": "%s", "s": "%%d"},
+    "dim_component": "%%d", "dim_tangent": "%%d", "erratum_notes": "%%s",
+    "hom_orbit_dim": "%%d", "k": "%d", "normal_bundle_h1": "%d",
+    "signature": {"curve_parts": [["%d", "%d"]],
+                  "isolated_points_from_W": "%%d", "reflexive_sing_c3": "%d"},
+    "verdicts": "%%s",
+}
+_CLOSED_FORM = {"c2": "%d", "c3": {"den": "%d", "num": "%d"}}
+_VERDICT = {"condition": "%s", "note": "%s", "status": "%s"}
+
+
+def _layout(tree, pad: str) -> str:
+    """tree as json.dumps(indent=2, sort_keys=True) lays it out, with each
+    slot leaf ("%d", "%s", "%%d" or "%%s") unquoted and every line after
+    the first indented by pad.  A string equal to a slot is always taken
+    for one, so notes, whose strings are data, do not go through here."""
+    import json
+    text = json.dumps(tree, indent=2, sort_keys=True)
+    for slot in ("%d", "%s", "%%d", "%%s"):
+        text = text.replace('"%s"' % slot, slot)
+    return text.replace("\n", "\n" + pad)
 
 
 def _list(items: list, close: str) -> str:
@@ -142,13 +115,14 @@ def _list(items: list, close: str) -> str:
 
 
 def _report_writer(pad: str):
-    """A function that writes one report from the _REPORT template, every
+    """A function that writes one report from the _REPORT tree, every
     line after the first indented by pad.  A new run fills the run's slots
     once; each report then fills the slots that vary with s."""
     from json.encoder import encode_basestring_ascii as _str
     nl = "\n" + pad
-    report, closed_form, verdict = (
-        t.replace("\n", nl) for t in (_REPORT, _CLOSED_FORM, _VERDICT))
+    report = _layout(_REPORT, pad)
+    closed_form = _layout(_CLOSED_FORM, pad + "    ")
+    verdict = nl + "    " + _layout(_VERDICT, pad + "    ")
 
     @lru_cache(maxsize=1)
     def notes_text(notes) -> str:
@@ -201,8 +175,7 @@ def write_atlas(options: EnumerationOptions,
 
 
 def _write_json(options: EnumerationOptions, reports, out) -> None:
-    import json
-    header = json.dumps({
+    before, _, after = _layout({
         "schema_version": SCHEMA_VERSION,
         "k": options.k,
         "options": {
@@ -210,12 +183,11 @@ def _write_json(options: EnumerationOptions, reports, out) -> None:
             # Flagged families are always listed; schema 1 keeps the key.
             "include_erratum_families": True,
         },
-        "reports": [],
-    }, indent=2, sort_keys=True)
-    before, close, after = header.partition('"reports": []')
+        "reports": "%s",
+    }, "").partition("%s")
     write = _report_writer("    ")
     out.write(before)
-    sep = '"reports": [\n    '
+    sep, close = "[\n    ", "[]"
     for r in reports:
         out.write(sep + write(r))
         sep, close = ",\n    ", "\n  ]"
@@ -223,9 +195,8 @@ def _write_json(options: EnumerationOptions, reports, out) -> None:
 
 
 def report_json(report: ComponentReport) -> str:
-    import json
-    return '{\n  "report": %s,\n  "schema_version": %s\n}\n' % (
-        _report_writer("  ")(report), json.dumps(SCHEMA_VERSION))
+    return _layout({"report": "%s", "schema_version": SCHEMA_VERSION},
+                   "") % _report_writer("  ")(report) + "\n"
 
 
 def _csv_row_writer():

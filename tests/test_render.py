@@ -144,6 +144,16 @@ def streamed(opts, fmt):
     return out.getvalue()
 
 
+def test_an_unknown_format_raises_and_writes_nothing():
+    opts, out = EnumerationOptions(3), io.StringIO()
+    reports = iter_components(opts)
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        write_atlas(opts, reports, "xml", out)
+    assert out.getvalue() == ""
+    # nor does it start the walk
+    assert next(reports) == next(iter_components(opts))
+
+
 @pytest.mark.parametrize("floor", [1, 2, 3])
 def test_atlas_json_is_the_oracle_tree(floor):
     for k in range(3, 17):
@@ -205,11 +215,13 @@ def test_the_empty_atlas_streams_its_header_only():
 def test_atlas_json_dumps_only_the_header_and_the_notes(monkeypatch):
     # Notes go through json.dumps once per change of value: a run's reports
     # share them, and so do consecutive runs of one family whose notes are
-    # equal; the M3 report adds its own note to a run with none.
-    dumps, calls = json.dumps, []
+    # equal; the M3 report adds its own note to a run with none.  Besides
+    # them, the writer lays out the header and its report, closed-form and
+    # verdict trees once each, however many reports it writes.
+    dumps, calls, sizes = json.dumps, [], set()
     monkeypatch.setattr(json, "dumps",
                         lambda *a, **kw: calls.append(a) or dumps(*a, **kw))
-    for k, floor, count in ((12, 2, 3), (3, 1, 3), (10, 1, 3)):
+    for k, floor, count in ((12, 2, 6), (3, 1, 6), (10, 1, 6)):
         opts = EnumerationOptions(k, floor)
         reports = tuple(iter_components(opts))
         calls.clear()
@@ -223,7 +235,9 @@ def test_atlas_json_dumps_only_the_header_and_the_notes(monkeypatch):
         assert m3 == (k == 3) == (len(with_notes) == len(reports))
         notes = [()] + [r.erratum_notes for r in reports]
         changes = sum(1 for a, b in zip(notes, notes[1:]) if b and b != a)
-        assert len(calls) == 1 + changes == count
+        assert len(calls) == 1 + 3 + changes == count
+        sizes.add(len(reports))
+    assert len(sizes) == 3
 
 
 def test_a_verdict_every_ledger_shares_is_written_once(monkeypatch):

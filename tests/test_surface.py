@@ -365,6 +365,13 @@ def test_the_guard_sees_imports_through_siblings():
     assert {"atlas", "families", "p3rr"} <= reachable_modules("cli")
 
 
+def test_render_does_not_import_atlas():
+    # render names atlas's types only in annotations, which stay unevaluated
+    # under `from __future__ import annotations`, so loading the writers
+    # loads no enumeration or verification code
+    assert "atlas" not in reachable_modules("render")
+
+
 @pytest.mark.parametrize(
     "name", [p.stem for p in MODULES if p.stem != "exactpoly"])
 def test_chern_numbers_do_not_import_exactpoly(name):
