@@ -72,9 +72,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _emit(write, path: str | None, code: int) -> int:
     """Call write(stream) on stdout, or on the file at `path`, opened
-    first; returns `code`, or USAGE_ERROR if opening or writing fails."""
+    first; returns `code`, or USAGE_ERROR if opening or writing fails,
+    as when stdout is closed (sys.stdout is None)."""
     try:
         if path is None:
+            if sys.stdout is None:
+                raise OSError("stdout is closed")
             write(sys.stdout)
             sys.stdout.flush()
         else:

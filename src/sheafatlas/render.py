@@ -133,7 +133,7 @@ def _report_writer(pad: str):
                           sort_keys=True).replace("\n", nl + "  ")
     verdict_text = lru_cache(maxsize=2 * len(CONDITION_IDS))(
         lambda v: verdict % (
-            _str(v.condition), _str(v.note), _str(v.status.value)))
+            _str(v.condition), _str(v.note), _str(v.status)))
     run = template = run_notes = None
 
     def write(r: ComponentReport) -> str:
@@ -203,7 +203,7 @@ def _csv_row_writer():
     """A function that gives one report's CSV cells, in CSV_HEADER order.
     A new run builds the run's cells and notes text once."""
     condition = lru_cache(maxsize=2 * len(CONDITION_IDS))(
-        lambda v: "%s=%s" % (v.condition, v.status.value))
+        lambda v: "%s=%s" % (v.condition, v.status))
     run = cells = run_notes = None
 
     def notes_text(notes) -> str:
@@ -275,7 +275,7 @@ def _write_table(k: int, reports, out) -> None:
 
 def verdict_line(v: ConditionVerdict) -> str:
     """One line of the admissibility ledger, as describe prints it."""
-    return "  %-24s %-18s %s" % (v.condition, v.status.value, v.note)
+    return "  %-24s %-18s %s" % (v.condition, v.status, v.note)
 
 
 def report_table(report: ComponentReport) -> str:

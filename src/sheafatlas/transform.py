@@ -16,7 +16,6 @@ through the dictionary in `p3rr`, so no polynomial object is built here.
 
 from __future__ import annotations
 
-import enum
 from collections import namedtuple
 
 from .curvecoh import (
@@ -55,13 +54,10 @@ PUBLISHED_M3_SPECTRUM = (-1, 0, 1)
 PUBLISHED_M3_PRIOR_COMPONENTS = 10
 
 
-class ConditionStatus(enum.Enum):
-    HOLDS = "Holds"
-    HOLDS_GENERICALLY = "HoldsGenerically"
-    FAILS = "Fails"
-
-    # singletons compared by identity; Enum's own __hash__ is a Python call
-    __hash__ = object.__hash__
+# The status of a verdict is one of three strings, written out as is.
+HOLDS = "Holds"
+HOLDS_GENERICALLY = "HoldsGenerically"
+FAILS = "Fails"
 
 
 # Stable identifiers for the admissibility ledger, in report order.
@@ -153,31 +149,30 @@ ConditionVerdict = namedtuple("ConditionVerdict", "condition status note")
 # check_conditions call: the split family's vacuous degree bound, and
 # curve-points-disjoint through surjection-exists in CONDITION_IDS order.
 _SPLIT_DEGREE_BOUND = ConditionVerdict(
-    "degree-bound", ConditionStatus.HOLDS, "vacuous for the split family")
+    "degree-bound", HOLDS, "vacuous for the split family")
 _CURVE_POINTS_DISJOINT = ConditionVerdict(
-    "curve-points-disjoint", ConditionStatus.HOLDS_GENERICALLY,
+    "curve-points-disjoint", HOLDS_GENERICALLY,
     "open dense: W can be placed off C")
 _OPEN_DENSE_TAIL = (
-    ConditionVerdict("hom-h1-vanishing", ConditionStatus.HOLDS_GENERICALLY,
+    ConditionVerdict("hom-h1-vanishing", HOLDS_GENERICALLY,
                      "open dense; the section counts in this report assume it"),
-    ConditionVerdict("surjection-exists", ConditionStatus.HOLDS_GENERICALLY,
+    ConditionVerdict("surjection-exists", HOLDS_GENERICALLY,
                      "open dense subset of Hom(F, Q)"),
 )
 _FAMILY_VERDICTS = {
     SplitResolution: (
         _CURVE_POINTS_DISJOINT,
-        ConditionVerdict("sing-disjoint", ConditionStatus.HOLDS_GENERICALLY,
+        ConditionVerdict("sing-disjoint", HOLDS_GENERICALLY,
                          "open dense: C and W can be moved off Sing(F)"),
-        ConditionVerdict("section-curve-disjoint", ConditionStatus.HOLDS,
+        ConditionVerdict("section-curve-disjoint", HOLDS,
                          "vacuous for the split family"),
         *_OPEN_DENSE_TAIL,
     ),
     IdealExtension: (
         _CURVE_POINTS_DISJOINT,
-        ConditionVerdict("sing-disjoint", ConditionStatus.HOLDS,
+        ConditionVerdict("sing-disjoint", HOLDS,
                          "vacuous for the extension family"),
-        ConditionVerdict("section-curve-disjoint",
-                         ConditionStatus.HOLDS_GENERICALLY,
+        ConditionVerdict("section-curve-disjoint", HOLDS_GENERICALLY,
                          "open dense: C and W can be moved off Y_F"),
         *_OPEN_DENSE_TAIL,
     ),
@@ -292,15 +287,14 @@ def check_conditions(d: ComponentDescriptor) -> tuple[ConditionVerdict, ...]:
     bound = max_points(n, curve)
     points = ConditionVerdict(
         "points-bound",
-        ConditionStatus.HOLDS if s <= bound else ConditionStatus.FAILS,
+        HOLDS if s <= bound else FAILS,
         ("s=%d < n=%d (strict for rational curves)" if bound < n
          else "s=%d <= n=%d") % (s, n),
     )
     if isinstance(fam, IdealExtension):
         degree = ConditionVerdict(
             "degree-bound",
-            ConditionStatus.HOLDS if fam.m < curve.degree
-            else ConditionStatus.FAILS,
+            HOLDS if fam.m < curve.degree else FAILS,
             "m=%d < deg(C)=%d" % (fam.m, curve.degree),
         )
     else:
@@ -308,13 +302,13 @@ def check_conditions(d: ComponentDescriptor) -> tuple[ConditionVerdict, ...]:
 
     twist_deg = 2 * (s - n)
     if twist_deg < 0:
-        status = ConditionStatus.HOLDS
+        status = HOLDS
         note = "deg(omega_C(4) - 2L) = %d < 0" % twist_deg
     elif twist_deg == 0:
-        status = ConditionStatus.HOLDS_GENERICALLY
+        status = HOLDS_GENERICALLY
         note = "degree 0; needs the square of L to differ from omega_C(4)"
     else:
-        status = ConditionStatus.FAILS
+        status = FAILS
         note = "deg(omega_C(4) - 2L) = %d > 0" % twist_deg
     return (points, degree, *_FAMILY_VERDICTS[type(fam)],
             ConditionVerdict("twist-sections-vanish", status, note))
@@ -451,7 +445,7 @@ def build_report(
     is d's run if the caller holds it, as assemble_report takes it."""
     failures = [v.condition for v in check_conditions(d)
                 if v.condition in ("points-bound", "degree-bound")
-                and v.status is ConditionStatus.FAILS]
+                and v.status == FAILS]
     if failures:
         raise InadmissibleDescriptor(
             "descriptor violates: %s" % ", ".join(failures)

@@ -5,12 +5,14 @@ import io
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
 import sheafatlas
+from sheafatlas import atlas
 from sheafatlas.cli import main
 
 
@@ -177,6 +179,23 @@ def test_verify_small_range(capsys):
     assert "overall: PASS" in out
 
 
+def test_verify_failing_atlas_check_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(atlas, "chi_hom_fl", lambda d, chi: 2 * chi + 1)
+    code, out, _ = run(capsys, "verify", "--max-k", "4")
+    assert code == 1
+    assert "    FAIL two-route-section-count: " in out
+    assert out.endswith("overall: FAIL\n")
+
+
+def test_verify_failing_module_check_exits_1(monkeypatch, capsys):
+    h0 = atlas.h0_o_p3
+    monkeypatch.setattr(atlas, "h0_o_p3", lambda j: h0(j) + (j == -5))
+    code, out, _ = run(capsys, "verify", "--max-k", "4")
+    assert code == 1
+    assert re.search(r"\n  p3-h0-vs-chi +FAIL .*\n    failures: j=-5\n", out)
+    assert out.endswith("overall: FAIL\n")
+
+
 def test_verify_max_k_too_small(capsys):
     code, _, err = run(capsys, "verify", "--max-k", "2")
     assert code == 2
@@ -221,6 +240,29 @@ def test_failing_stdout_is_usage_error():
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: cannot write output: ")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--max-k", "3"],
+    ["enumerate", "--c2", "5"],
+    ["describe", "--reflexive", "V:1", "--curve", "R:2", "--points", "0"],
+    ["describe", "--reflexive", "V:2", "--curve", "R:2", "--points", "0"],
+], ids=["verify", "enumerate", "describe", "describe-inadmissible"])
+def test_closed_stdout_is_usage_error(tmp_path, argv):
+    # With fd 1 closed, Python starts with sys.stdout None, not a stream.
+    src = os.path.dirname(os.path.dirname(sheafatlas.__file__))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    err = tmp_path / "stderr"
+    pid = os.posix_spawn(
+        sys.executable, [sys.executable, "-m", "sheafatlas.cli", *argv], env,
+        file_actions=[(os.POSIX_SPAWN_CLOSE, 1),
+                      (os.POSIX_SPAWN_OPEN, 2, str(err),
+                       os.O_WRONLY | os.O_CREAT, 0o600)])
+    _, status = os.waitpid(pid, 0)
+    stderr = err.read_text()
+    assert os.waitstatus_to_exitcode(status) == 2
+    assert stderr.startswith("error: cannot write output: ")
+    assert "Traceback" not in stderr
 
 
 def peak_rss_mb(*argv):

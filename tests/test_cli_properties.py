@@ -11,8 +11,8 @@ from sheafatlas import transform
 from sheafatlas.atlas import EnumerationOptions
 from sheafatlas.cli import main
 from sheafatlas.transform import (
+    FAILS,
     ComponentDescriptor,
-    ConditionStatus,
     InadmissibleDescriptor,
     build_report,
     canonical_int,
@@ -81,8 +81,7 @@ def test_describe_on_random_argv(reflexive, curve, points, floor, fmt):
         assert code == 2 and out == ""
         return
     d, min_degree = parsed
-    failing = {v.condition for v in check_conditions(d)
-               if v.status is ConditionStatus.FAILS}
+    failing = {v.condition for v in check_conditions(d) if v.status == FAILS}
     inadmissible = (bool(failing & {"points-bound", "degree-bound"})
                     or d.curve.degree < min_degree)
     try:

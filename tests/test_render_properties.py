@@ -7,9 +7,11 @@ import pytest
 from sheafatlas.p3rr import ChernData
 from sheafatlas.render import report_json
 from sheafatlas.transform import (
+    FAILS,
+    HOLDS,
+    HOLDS_GENERICALLY,
     ComponentReport,
     ComponentRun,
-    ConditionStatus,
     ConditionVerdict,
     ErratumNote,
 )
@@ -31,8 +33,8 @@ OBJECT = st.lists(st.tuples(TEXT, st.one_of(INT, TEXT)), min_size=1,
 VALUE = st.one_of(INT, OBJECT, TEXT, st.lists(INT, max_size=3).map(tuple))
 NOTE = st.builds(ErratumNote, TEXT, TEXT,
                  st.lists(st.tuples(TEXT, VALUE), max_size=3).map(tuple))
-VERDICT = st.builds(ConditionVerdict, TEXT, st.sampled_from(ConditionStatus),
-                    TEXT)
+VERDICT = st.builds(ConditionVerdict, TEXT,
+                    st.sampled_from((HOLDS, HOLDS_GENERICALLY, FAILS)), TEXT)
 DESCRIPTOR = st.builds(
     descriptor,
     st.sampled_from(["V:1", "V:7", "S:0,0,2", "S:1,0,1", "S:12,3,0"]),

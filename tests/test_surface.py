@@ -1,7 +1,8 @@
 """Guards against dead surface (unused imports, unreferenced private helpers,
 names the benchmark looks up that do not resolve), against imports from
-outside the standard library, and against a module that imports, or loads
-at run time, a layer at or above its own."""
+outside the standard library, against syntax newer than the oldest Python
+the package supports, and against a module that imports, or loads at run
+time, a layer at or above its own."""
 
 import ast
 import subprocess
@@ -287,6 +288,37 @@ def test_the_guard_sees_non_stdlib_imports():
                          ids=lambda p: p.stem)
 def test_stdlib_only(path):
     assert non_stdlib_imports(path.read_text(encoding="utf-8")) == []
+
+
+REPO = Path(__file__).resolve().parents[1]
+OLDEST_PYTHON = (3, 10)  # pyproject.toml's requires-python
+
+
+def parses_on_oldest_python(source: str) -> bool:
+    """Whether the source uses no syntax newer than OLDEST_PYTHON."""
+    try:
+        ast.parse(source, feature_version=OLDEST_PYTHON)
+    except SyntaxError:
+        return False
+    return True
+
+
+def test_the_guard_sees_newer_syntax():
+    assert parses_on_oldest_python("try:\n    pass\nexcept ValueError:\n"
+                                   "    pass\n")
+    assert not parses_on_oldest_python("try:\n    pass\n"
+                                       "except* ValueError:\n    pass\n")
+    assert not parses_on_oldest_python("def f[T](x: T) -> T:\n"
+                                       "    return x\n")
+
+
+def test_every_source_file_parses_on_the_oldest_python():
+    paths = [p for top in ("src", "tests", "perfbench")
+             for p in sorted((REPO / top).rglob("*.py"))]
+    assert len(paths) > 30
+    newer = [p for p in paths
+             if not parses_on_oldest_python(p.read_text(encoding="utf-8"))]
+    assert [str(p.relative_to(REPO)) for p in newer] == []
 
 
 def test_the_guard_sees_module_level_fractions():

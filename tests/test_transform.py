@@ -10,6 +10,7 @@ import pytest
 
 import sheafatlas
 from powerbasis import chern_from_hp, hp_from_chern
+from record_manifest import DESCRIBE
 from sheafatlas import atlas, transform
 from sheafatlas.atlas import EnumerationOptions, iter_components
 from sheafatlas.curvecoh import CompleteIntersection, RationalCurve, genus
@@ -24,8 +25,10 @@ from sheafatlas.families import (
 from sheafatlas.p3rr import CertificateError, ChernData
 from sheafatlas.transform import (
     CONDITION_IDS,
+    FAILS,
+    HOLDS,
+    HOLDS_GENERICALLY,
     ComponentDescriptor,
-    ConditionStatus,
     ConditionVerdict,
     InadmissibleDescriptor,
     assemble_report,
@@ -118,34 +121,61 @@ def test_verdict_ids_and_order_are_stable():
         assert tuple(v.condition for v in check_conditions(d)) == CONDITION_IDS
 
 
+def _describe_probes():
+    """The describe descriptors of the output manifest that parse."""
+    for reflexive, curve, points in DESCRIBE:
+        try:
+            yield ComponentDescriptor(transform.parse_reflexive(reflexive),
+                                      transform.parse_curve(curve),
+                                      int(points))
+        except ValueError:
+            pass
+
+
+def test_every_verdict_is_in_the_closed_set():
+    # A status is a plain string, so no type keeps it among the three; the
+    # walks at floors 1 and 2 and the manifest's describe probes must.
+    probes = list(_describe_probes())
+    assert len(probes) == len(DESCRIBE) - 2  # two probes are usage errors
+    ledgers = [check_conditions(d) for d in probes]
+    for floor in (1, 2):
+        for k in range(3, 23):
+            ledgers += [r.verdicts for r in iter_components(
+                EnumerationOptions(k=k, min_curve_degree=floor))]
+    statuses = set()
+    for ledger in ledgers:
+        assert tuple(v.condition for v in ledger) == CONDITION_IDS
+        statuses.update(v.status for v in ledger)
+    assert statuses == {HOLDS, HOLDS_GENERICALLY, FAILS}
+
+
 def test_conditions_admissible_case():
-    assert verdict(V1_CONIC, "points-bound").status is ConditionStatus.HOLDS
-    assert verdict(V1_CONIC, "degree-bound").status is ConditionStatus.HOLDS
+    assert verdict(V1_CONIC, "points-bound").status == HOLDS
+    assert verdict(V1_CONIC, "degree-bound").status == HOLDS
     v16 = verdict(V1_CONIC, "twist-sections-vanish")
-    assert v16.status is ConditionStatus.HOLDS
+    assert v16.status == HOLDS
     assert "-2" in v16.note
 
 
 def test_conditions_boundary_and_failure():
     bad = ComponentDescriptor(IdealExtension(1), RationalCurve(2), 1)
-    assert verdict(bad, "points-bound").status is ConditionStatus.FAILS
+    assert verdict(bad, "points-bound").status == FAILS
 
     boundary = ComponentDescriptor(
         SplitResolution(0, 0, 2), CompleteIntersection(2, 2), 2)
-    assert verdict(boundary, "points-bound").status is ConditionStatus.HOLDS
+    assert verdict(boundary, "points-bound").status == HOLDS
     v16 = verdict(boundary, "twist-sections-vanish")
-    assert v16.status is ConditionStatus.HOLDS_GENERICALLY
+    assert v16.status == HOLDS_GENERICALLY
 
     over = ComponentDescriptor(
         SplitResolution(0, 0, 2), CompleteIntersection(2, 2), 3)
-    assert verdict(over, "points-bound").status is ConditionStatus.FAILS
-    assert (verdict(over, "twist-sections-vanish").status
-            is ConditionStatus.FAILS)
+    assert verdict(over, "points-bound").status == FAILS
+    assert verdict(over, "twist-sections-vanish").status == FAILS
 
 
 def test_degree_bound_failure():
     bad = ComponentDescriptor(IdealExtension(2), RationalCurve(2), 0)
-    assert verdict(bad, "degree-bound").status is ConditionStatus.FAILS
+    assert verdict(bad, "degree-bound").status == FAILS
     with pytest.raises(InadmissibleDescriptor):
         build_report(bad)
 
@@ -153,14 +183,12 @@ def test_degree_bound_failure():
 def test_generic_conditions_are_marked():
     for condition in ("curve-points-disjoint", "hom-h1-vanishing",
                       "surjection-exists"):
-        assert (verdict(V1_CONIC, condition).status
-                is ConditionStatus.HOLDS_GENERICALLY)
+        assert verdict(V1_CONIC, condition).status == HOLDS_GENERICALLY
     # the variant-specific disjointness conditions swap roles
     assert (verdict(V1_CONIC, "section-curve-disjoint").status
-            is ConditionStatus.HOLDS_GENERICALLY)
-    assert verdict(V1_CONIC, "sing-disjoint").status is ConditionStatus.HOLDS
-    assert (verdict(S002_CONIC, "sing-disjoint").status
-            is ConditionStatus.HOLDS_GENERICALLY)
+            == HOLDS_GENERICALLY)
+    assert verdict(V1_CONIC, "sing-disjoint").status == HOLDS
+    assert verdict(S002_CONIC, "sing-disjoint").status == HOLDS_GENERICALLY
 
     # The family-fixed verdicts are shared objects: two descriptors of one
     # family kind, with different curve kinds and different s, get the very
@@ -175,7 +203,7 @@ def test_generic_conditions_are_marked():
         assert all(a[i] is b[i] for i in fixed)
 
     # The whole ledger, written out by hand for one descriptor of each kind.
-    holds, generic = ConditionStatus.HOLDS, ConditionStatus.HOLDS_GENERICALLY
+    holds, generic = HOLDS, HOLDS_GENERICALLY
     expected = {
         V1_CONIC: (
             (holds, "s=0 < n=1 (strict for rational curves)"),
@@ -313,7 +341,7 @@ def test_assemble_report_on_inadmissible_descriptor():
     report = assemble_report(bad)
     assert report.dim_component == report.dim_tangent
     statuses = {v.condition: v.status for v in report.verdicts}
-    assert statuses["degree-bound"] is ConditionStatus.FAILS
+    assert statuses["degree-bound"] == FAILS
 
 
 def test_certificates_survive_python_O():
