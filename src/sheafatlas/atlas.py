@@ -21,6 +21,7 @@ from .families import (
     SplitResolution,
     chern_of,
     chern_sabc_closed,
+    clear_chern_cache,
     euler_check,
     half_c3,
     presentation_value,
@@ -30,6 +31,7 @@ from . import curvecoh, transform
 from .transform import (
     ComponentDescriptor,
     ComponentReport,
+    ComponentRun,
     build_report,
     chi_hom_fl,
     component_run,
@@ -115,12 +117,12 @@ def curve_families_of_degree(d: int) -> list[CurveFamily]:
     return out
 
 
-def iter_components(opts: EnumerationOptions) -> Iterator[ComponentReport]:
-    """Yield the report of every admissible descriptor with c2(E) = k, built
-    one at a time, in canonical order: curve degree, curve family (rational
-    first, then d1 ascending), split triples lexicographically before the
-    extension family, then s.  Each (family, curve) pair is one run: its
-    transform.component_run is built once, and each s is its member."""
+def iter_runs(opts: EnumerationOptions) -> Iterator[tuple[ComponentRun, int]]:
+    """Yield (run, top) for every (family, curve) pair with c2(E) = k, in
+    canonical order: curve degree, curve family (rational first, then d1
+    ascending), split triples lexicographically before the extension
+    family.  run is the pair's transform.component_run, and its members
+    are s = 0..top."""
     for d in range(opts.min_curve_degree, opts.k):
         c2 = opts.k - d
         fams: list[ReflexiveFamily] = [
@@ -130,11 +132,40 @@ def iter_components(opts: EnumerationOptions) -> Iterator[ComponentReport]:
             fams.append(IdealExtension(c2))
         for curve in curve_families_of_degree(d):
             for fam in fams:
-                run = component_run(fam, curve)
-                for s in range(max_points(half_c3(fam), curve) + 1):
-                    yield build_report(
-                        ComponentDescriptor(fam, curve, s),
-                        min_curve_degree=opts.min_curve_degree, run=run)
+                yield (component_run(fam, curve),
+                       max_points(half_c3(fam), curve))
+
+
+def iter_components(opts: EnumerationOptions) -> Iterator[ComponentReport]:
+    """Yield the report of every admissible descriptor with c2(E) = k, built
+    one at a time, in canonical order: the runs of iter_runs, each with s
+    ascending."""
+    for run, top in iter_runs(opts):
+        for s in range(top + 1):
+            yield build_report(
+                ComponentDescriptor(run.reflexive, run.curve, s),
+                min_curve_degree=opts.min_curve_degree, run=run)
+
+
+class _Tally:
+    """A check's counts as its cases arrive, one add(case) each; see
+    _check."""
+
+    def __init__(self, name: str, holds, label):
+        self.name, self.holds, self.label = name, holds, label
+        self.passed, self.failed, self.failures = 0, 0, []
+
+    def add(self, case) -> None:
+        if case is None or self.holds(case):
+            self.passed += 1
+        else:
+            self.failed += 1
+            if self.failed <= 10:
+                self.failures.append(self.label(case))
+
+    def result(self) -> CheckResult:
+        return CheckResult(self.name, self.passed, self.failed,
+                           tuple(self.failures))
 
 
 def _check(name: str, cases, holds, label) -> CheckResult:
@@ -142,16 +173,10 @@ def _check(name: str, cases, holds, label) -> CheckResult:
     holds(case) is true, and label(case) only the first ten that fail, in
     stream order.  A None case always holds: it is the one vacuous pass
     some checks report when they have no case of their own."""
-    passed = failed = 0
-    labels = []
+    tally = _Tally(name, holds, label)
     for c in cases:
-        if c is None or holds(c):
-            passed += 1
-        else:
-            failed += 1
-            if failed <= 10:
-                labels.append(label(c))
-    return CheckResult(name, passed, failed, tuple(labels))
+        tally.add(c)
+    return tally.result()
 
 
 def _report_label(r: ComponentReport) -> str:
@@ -174,52 +199,84 @@ def _closed_c2_agrees(f: SplitResolution) -> bool:
     return chern_sabc_closed(f.a, f.b, f.c)[0] == chern_of(f).c2
 
 
-# Bound once: the benchmark's tracer and tests rebind chern_of to plain
-# functions, which have no cache_clear.
-_clear_chern_cache = chern_of.cache_clear
-
-
-def _walks_again(opts: EnumerationOptions, reports) -> bool:
-    """Whether a second walk of opts, on a cold chern_of cache, yields the
-    held reports, compared one at a time as it streams; a missing or extra
-    report differs too."""
-    _clear_chern_cache()
+def _walks_again(opts: EnumerationOptions, runs) -> bool:
+    """Whether a second walk of opts's runs, on a cold chern_of cache,
+    yields the held (run, first s, last s) list, compared as it streams; a
+    missing or extra run differs too.  This equals comparing the reports
+    only because assemble_report is a pure function of (run, s)."""
+    clear_chern_cache()
     missing = object()
     return all(a == b for a, b in zip_longest(
-        iter_components(opts), reports, fillvalue=missing))
+        ((run, 0, top) for run, top in iter_runs(opts)), runs,
+        fillvalue=missing))
 
 
 def verify_atlas(opts: EnumerationOptions) -> VerificationSummary:
-    """Run the invariant suite over one atlas.  Closed-form c3
+    """Run the invariant suite over one atlas, reading each report once as
+    the walk streams: what is held is one (run, first s, last s) entry per
+    run, and no report.  The family checks run before the second walk of
+    rerun-determinism empties the chern_of cache.  Uniqueness and
+    distinctness are decided per run: s ascends within each run, and no two
+    runs share (R, C) or signature (each starts at s = 0).  Closed-form c3
     disagreements and literature discrepancies are collected as notes, not
     failures."""
-    reports = tuple(iter_components(opts))
-    families_seen = sorted({r.descriptor.reflexive for r in reports},
-                           key=reflexive_tag)
-    # canonical order lists each (R, C) as one run with s ascending
-    steps = [(lo, hi) for lo, hi in zip(reports, reports[1:])
-             if lo.descriptor.reflexive == hi.descriptor.reflexive
-             and lo.descriptor.curve == hi.descriptor.curve]
 
     def twist_degree_identity(r: ComponentReport) -> bool:
         d = r.descriptor
         return (2 * genus(d.curve) - 2 + 4 * d.curve.degree - 2 * r.deg_l
                 == 2 * (d.s - half_c3(d.reflexive)))
 
-    rows = (
-        ("c2-additivity", reports,
+    per_report = [_Tally(*row) for row in (
+        ("c2-additivity",
          lambda r: opts.k == r.run.chern_e.c2
          == chern_of(r.descriptor.reflexive).c2 + r.descriptor.curve.degree,
          _report_label),
-        ("transformed-chern", reports,
+        ("transformed-chern",
          lambda r: r.run.chern_e.c3 == 0, _report_label),
-        ("two-route-section-count", reports,
+        ("two-route-section-count",
          lambda r: chi_hom_fl(r.descriptor, r.chi_l) == 2 * r.chi_l,
          _report_label),
-        ("tangent-equals-component", reports,
+        ("tangent-equals-component",
          lambda r: r.dim_component == r.dim_tangent, _report_label),
-        ("twist-degree-identity", reports, twist_degree_identity,
-         _report_label),
+        ("twist-degree-identity", twist_degree_identity, _report_label),
+    )]
+    margin = _Tally("stability-margin-positive",
+                    lambda r: stability_margin(r.descriptor)[1] > 0,
+                    _report_label)
+    monotone = _Tally("dimension-monotone-in-s",
+                      lambda step: step[1].dim_component
+                      == step[0].dim_component + 2,
+                      lambda step: _report_label(step[1]))
+    runs: list[tuple[ComponentRun, int, int]] = []
+    ascending = True
+
+    def streamed() -> Iterator[ComponentReport]:
+        nonlocal ascending
+        prev = None
+        for r in iter_components(opts):
+            for tally in per_report:
+                tally.add(r)
+            if isinstance(r.descriptor.reflexive, IdealExtension):
+                margin.add(r)
+            s = r.descriptor.s
+            if prev is not None and r.run is prev.run:
+                monotone.add((prev, r))
+                ascending = ascending and s > prev.descriptor.s
+                runs[-1] = (r.run, runs[-1][1], s)
+            else:
+                runs.append((r.run, s, s))
+            prev = r
+            yield r
+
+    # dedup_notes drives the walk, so each report is read once, as it streams
+    erratum_notes = dedup_notes(n for r in streamed()
+                                for n in r.erratum_notes)
+    for tally in (margin, monotone):
+        if tally.passed + tally.failed == 0:
+            tally.add(None)
+    families_seen = sorted({run.reflexive for run, _, _ in runs},
+                           key=reflexive_tag)
+    family_rows = (
         ("euler-pairing", families_seen, euler_check, reflexive_tag),
         ("c3-parity", families_seen,
          lambda f: chern_of(f).c3 % 2 == 0 and half_c3(f) >= 1,
@@ -231,46 +288,43 @@ def verify_atlas(opts: EnumerationOptions) -> VerificationSummary:
         ("sheaf-hilbert-numerical", families_seen,
          lambda f: all(presentation_value(f, t) == hp_value(chern_of(f), t)
                        for t in range(4, 8)), reflexive_tag),
-        ("stability-margin-positive", [
-            r for r in reports
-            if isinstance(r.descriptor.reflexive, IdealExtension)] or [None],
-         lambda r: stability_margin(r.descriptor)[1] > 0, _report_label),
-        ("dimension-monotone-in-s", steps or [None],
-         lambda step: step[1].dim_component == step[0].dim_component + 2,
-         lambda step: _report_label(step[1])),
-        ("descriptor-uniqueness", [[r.descriptor for r in reports]],
-         _distinct, lambda _: "duplicates found"),
-        ("signature-distinctness", [[
-            (type(r.descriptor.reflexive), r.run.chern_r,
-             r.descriptor.curve.degree, r.run.genus, r.descriptor.s)
-            for r in reports]],
-         _distinct, lambda _: "colliding signatures"),
-        ("rerun-determinism", [reports],
+    )
+    # run before the second walk clears chern_of
+    family_checks = [_check(*row) for row in family_rows]
+    run_rows = (
+        ("descriptor-uniqueness", [runs],
+         lambda held: ascending and _distinct(
+             [(run.reflexive, run.curve) for run, _, _ in held]),
+         lambda _: "duplicates found"),
+        ("signature-distinctness", [runs],
+         lambda held: ascending and _distinct(
+             [(type(run.reflexive), run.chern_r, run.curve.degree, run.genus)
+              for run, _, _ in held]),
+         lambda _: "colliding signatures"),
+        ("rerun-determinism", [runs],
          lambda held: _walks_again(opts, held),
          lambda _: "atlases differ"),
     )
     return VerificationSummary(
         k=opts.k,
-        checks=tuple(_check(*row) for row in rows),
-        erratum_notes=dedup_notes(n for r in reports for n in r.erratum_notes),
+        checks=(*(t.result() for t in per_report), *family_checks,
+                margin.result(), monotone.result(),
+                *(_check(*row) for row in run_rows)),
+        erratum_notes=erratum_notes,
     )
 
 
 def verify_module_invariants() -> tuple[CheckResult, ...]:
     """The module-level identity suites, independent of any atlas.  Each
-    suite reads a stream of its own, so no case list is ever held."""
+    suite reads a stream of its own, so no case list is ever held; the
+    four family suites share one pass over the families, and each
+    family's Chern data leave the chern_of cache once all four have read
+    them, so the cache never holds the 565 families at once."""
     universe = [c for d in range(1, 17) for c in curve_families_of_degree(d)]
 
     def twists():
         return ((c, a) for c in universe if c.degree <= 12
                 for a in range(-6, 13))
-
-    def splits():
-        return (SplitResolution(*t)
-                for w in range(2, 31, 2) for t in _split_triples(w))
-
-    def fams():
-        return chain(splits(), map(IdealExtension, range(1, 21)))
 
     def serre_dual(case) -> bool:
         ci, a = case
@@ -306,14 +360,26 @@ def verify_module_invariants() -> tuple[CheckResult, ...]:
         ("curve-koszul-riemann-roch", (
             (c, a) for c, a in twists() if isinstance(c, CompleteIntersection)),
          koszul, _twist_label),
-        ("closed-form-c2-agreement", splits(), _closed_c2_agrees,
-         reflexive_tag),
-        ("closed-form-c3-single-exponent", (
-            f for f in splits() if f.a * f.b == f.a * f.c == f.b * f.c == 0),
-         lambda f: chern_sabc_closed(f.a, f.b, f.c)[1] == 2 * chern_of(f).c3,
-         reflexive_tag),
-        ("euler-pairing-ranges", fams(), euler_check, reflexive_tag),
-        ("family-c3-parity", fams(), lambda f: chern_of(f).c3 % 2 == 0,
-         reflexive_tag),
     )
-    return tuple(_check(*row) for row in rows)
+    checks = [_check(*row) for row in rows]
+    family = [
+        _Tally(name, holds, reflexive_tag) for name, holds in (
+            ("closed-form-c2-agreement", _closed_c2_agrees),
+            ("closed-form-c3-single-exponent",
+             lambda f: chern_sabc_closed(f.a, f.b, f.c)[1]
+             == 2 * chern_of(f).c3),
+            ("euler-pairing-ranges", euler_check),
+            ("family-c3-parity", lambda f: chern_of(f).c3 % 2 == 0),
+        )]
+    c2_closed, c3_closed = family[:2]
+    for f in chain((SplitResolution(*t) for w in range(2, 31, 2)
+                    for t in _split_triples(w)),
+                   map(IdealExtension, range(1, 21))):
+        if isinstance(f, SplitResolution):
+            c2_closed.add(f)
+            if f.a * f.b == f.a * f.c == f.b * f.c == 0:
+                c3_closed.add(f)
+        for tally in family[2:]:
+            tally.add(f)
+        clear_chern_cache()
+    return (*checks, *(t.result() for t in family))

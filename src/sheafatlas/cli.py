@@ -25,6 +25,7 @@ import sys
 
 from . import atlas as atlas_mod
 from . import render, transform
+from .families import clear_chern_cache
 from .transform import ComponentDescriptor, canonical_int
 
 USAGE_ERROR = 2
@@ -168,7 +169,9 @@ def main(argv=None) -> int:
     except MemoryError:
         pass
     # Reported after the handler, which would keep the failed run's frames,
-    # and the data they hold, alive while printing needs memory.
+    # and the data they hold, alive while printing needs memory.  The
+    # chern_of cache outlives them, so it is emptied first.
+    clear_chern_cache()
     print("error: out of memory", file=sys.stderr)
     return OUT_OF_MEMORY
 

@@ -136,6 +136,11 @@ def chern_of(family: ReflexiveFamily) -> ChernData:
     return chern
 
 
+# Bound once: the benchmark's tracer and tests rebind chern_of to plain
+# functions, which have no cache_clear.
+clear_chern_cache = chern_of.cache_clear
+
+
 def half_c3(family: ReflexiveFamily) -> int:
     """n = c3/2, the weight of the singular points of the sheaf."""
     c3 = chern_of(family).c3

@@ -5,10 +5,10 @@ For each command the manifest holds `[exit code, sha256(stdout),
 sha256(stderr)]`, each command run in-process through `sheafatlas.cli.main`
 with `chern_of`'s cache cleared first, as in a fresh process.  It covers
 what `perfbench/golden.json` does not: `--min-curve-degree` 1 and 3 at c2 =
-3..20, c2 = 45 and 60 at the default floor, `verify --max-k 22`, twelve
-`describe` descriptors (among them the M3 report, the flagged errata,
-inadmissible triples with and without a printed report, and two usage
-errors), every format, and stderr.
+3..20, c2 = 45 and 60 at the default floor, `verify --max-k` 22 and 30,
+twelve `describe` descriptors (among them the M3 report, the flagged
+errata, inadmissible triples with and without a printed report, and two
+usage errors), every format, and stderr.
 
 The manifest is regenerated only on purpose, when output changes by
 design, with::
@@ -56,7 +56,8 @@ def commands():
     for k in (45, 60):
         for fmt in FORMATS:
             yield ["enumerate", "--c2", str(k), "--format", fmt]
-    yield ["verify", "--max-k", "22"]
+    for k in (22, 30):
+        yield ["verify", "--max-k", str(k)]
     for reflexive, curve, points in DESCRIBE:
         for fmt in FORMATS:
             yield ["describe", "--reflexive", reflexive, "--curve", curve,

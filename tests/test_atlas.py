@@ -250,26 +250,49 @@ def test_empty_atlas_check_counts():
 
 
 @pytest.mark.parametrize("second_walk", [
-    lambda reports: reports[:-1],
-    lambda reports: reports[:7] + reports[8:9] + reports[8:],
-    lambda reports: reports + reports[-1:],
+    lambda runs: runs[:-1],
+    lambda runs: runs[:3] + [(runs[3][0], runs[3][1] + 1)] + runs[4:],
+    lambda runs: runs + runs[-1:],
 ], ids=["one-short", "one-differs", "one-extra"])
 def test_rerun_determinism_can_fail(monkeypatch, second_walk):
-    # The first walk is held by verify_atlas; the second one is compared as
-    # it streams.
-    real, walks = atlas.iter_components, []
+    # The first walk streams the reports of its runs; the second walk reads
+    # the runs alone, and one run is missing, has another s range, or is
+    # extra.
+    real, walks = atlas.iter_runs, []
 
     def walk(opts):
         walks.append(opts)
-        reports = list(real(opts))
-        return iter(reports if len(walks) == 1 else second_walk(reports))
-    monkeypatch.setattr(atlas, "iter_components", walk)
+        runs = list(real(opts))
+        return iter(runs if len(walks) == 1 else second_walk(runs))
+    monkeypatch.setattr(atlas, "iter_runs", walk)
     checks = {c.name: c for c in verify_atlas(EnumerationOptions(k=6)).checks}
     assert len(walks) == 2
     broken = checks.pop("rerun-determinism")
     assert (broken.passed, broken.failed, broken.failures) == (
         0, 1, ("atlases differ",))
     assert all(c.failed == 0 for c in checks.values())
+
+
+@pytest.mark.parametrize("walk, repeat, failing", [
+    ("iter_runs", lambda runs: runs + runs[:1], set()),
+    ("iter_components", lambda reports: reports[:2] + reports[1:],
+     {"dimension-monotone-in-s"}),
+], ids=["run-repeated", "report-repeated"])
+def test_uniqueness_and_distinctness_can_fail(monkeypatch, walk, repeat,
+                                             failing):
+    # Decided per run: a run listed again after the others repeats its
+    # (R, C) and its signature, and a report listed twice in a row repeats
+    # an s of its run.  rerun-determinism still passes: both walks repeat
+    # the run, and a repeated report leaves its run's s range as it was.
+    real = getattr(atlas, walk)
+    monkeypatch.setattr(atlas, walk,
+                        lambda opts: iter(repeat(list(real(opts)))))
+    checks = {c.name: c for c in verify_atlas(EnumerationOptions(k=6)).checks}
+    assert checks.pop("descriptor-uniqueness")[1:] == (
+        0, 1, ("duplicates found",))
+    assert checks.pop("signature-distinctness")[1:] == (
+        0, 1, ("colliding signatures",))
+    assert {c.name for c in checks.values() if c.failed} == failing
 
 
 def test_rerun_determinism_walks_on_a_cold_chern_cache(monkeypatch):
@@ -329,24 +352,27 @@ def test_two_route_section_count_can_fail(monkeypatch):
 
 
 def test_transformed_chern_can_fail(monkeypatch):
-    # both walks build the bad report through atlas's binding, so
-    # rerun-determinism still passes and only transformed-chern sees it
+    # both walks build the bad run through atlas's binding, so
+    # rerun-determinism still passes and only transformed-chern sees it, in
+    # every report of that run
     opts = EnumerationOptions(k=6)
     reports = tuple(iter_components(opts))
-    target = reports[3].descriptor
-    real = atlas.build_report
+    target = reports[3].run
+    members = [r.descriptor for r in reports if r.run == target]
+    assert len(members) == 4
+    real = atlas.component_run
 
-    def built(d, **kwargs):
-        r = real(d, **kwargs)
-        if d != target:
-            return r
-        return r._replace(run=r.run._replace(chern_e=ChernData(opts.k, 2)))
-    monkeypatch.setattr(atlas, "build_report", built)
+    def built(reflexive, curve):
+        run = real(reflexive, curve)
+        if run != target:
+            return run
+        return run._replace(chern_e=ChernData(opts.k, 2))
+    monkeypatch.setattr(atlas, "component_run", built)
     checks = {c.name: c for c in verify_atlas(opts).checks}
     broken = checks.pop("transformed-chern")
-    assert (broken.passed, broken.failed) == (len(reports) - 1, 1)
-    assert broken.failures == ("%s %s s=%d" % (
-        reflexive_tag(target.reflexive), curve_tag(target.curve), target.s),)
+    assert (broken.passed, broken.failed) == (len(reports) - 4, 4)
+    assert broken.failures == tuple("%s %s s=%d" % (
+        reflexive_tag(d.reflexive), curve_tag(d.curve), d.s) for d in members)
     assert all(c.failed == 0 for c in checks.values())
 
 
@@ -422,6 +448,22 @@ def test_module_suite_case_counts():
     }
 
 
+def test_verify_atlas_holds_no_report():
+    # verify_atlas keeps one entry per run, not its reports: holding every
+    # report, as it once did, peaked at 9.4 MB of heap at k = 42 against
+    # 1.3 MB at k = 22; streaming reads about 0.2 and 0.1 MB
+    def peak(k):
+        chern_of.cache_clear()
+        tracemalloc.start()
+        try:
+            verify_atlas(EnumerationOptions(k))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            chern_of.cache_clear()
+    assert peak(42) < peak(22) + 500_000
+
+
 def test_module_suites_hold_no_case_list():
     # the chern-round-trip cases alone take about 1.8 MB when held in a list
     chern_of.cache_clear()
@@ -432,6 +474,22 @@ def test_module_suites_hold_no_case_list():
     finally:
         tracemalloc.stop()
     assert peak < 500_000
+
+
+def test_family_suites_keep_one_family_in_the_chern_cache(monkeypatch):
+    # the four family suites read each family in one pass, and its Chern
+    # data leave the cache before the next family, so the cache never
+    # holds the 565 families (about 0.15 MB) at once
+    sizes, real = [], atlas.euler_check
+
+    def euler_check(family):
+        sizes.append(chern_of.cache_info().currsize)
+        return real(family)
+    monkeypatch.setattr(atlas, "euler_check", euler_check)
+    checks = verify_module_invariants()
+    assert all(c.failed == 0 for c in checks)
+    assert len(sizes) == 565
+    assert max(sizes) <= 1
 
 
 def _curvecoh_with(name, wrap):

@@ -2,9 +2,9 @@
 
 The manifest holds, for each command, its exit code and the SHA-256 of its
 stdout and of its stderr.  It covers what `perfbench/golden.json` does not
-(floors 1 and 3, c2 = 45 and 60, `verify --max-k 22`, describe errors, and
-stderr); `tests/record_manifest.py` lists the commands.  Each is replayed
-in-process with `chern_of`'s cache cleared, as in a fresh process.
+(floors 1 and 3, c2 = 45 and 60, `verify --max-k` 22 and 30, describe
+errors, and stderr); `tests/record_manifest.py` lists the commands.  Each is
+replayed in-process with `chern_of`'s cache cleared, as in a fresh process.
 
 The manifest is only read here.  It is regenerated only on purpose, when
 output changes by design, with `PYTHONPATH=src python3
