@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Iterator
-from itertools import chain, zip_longest
+from itertools import chain
 
 from .curvecoh import CompleteIntersection, CurveFamily, RationalCurve, genus
 from .families import (
@@ -136,15 +136,21 @@ def iter_runs(opts: EnumerationOptions) -> Iterator[tuple[ComponentRun, int]]:
                        max_points(half_c3(fam), curve))
 
 
+def _run_reports(run: ComponentRun, top: int,
+                 min_curve_degree: int) -> Iterator[ComponentReport]:
+    """Yield run's reports for s = 0..top: the one place where the walk
+    builds a run's reports."""
+    for s in range(top + 1):
+        yield build_report(ComponentDescriptor(run.reflexive, run.curve, s),
+                           min_curve_degree=min_curve_degree, run=run)
+
+
 def iter_components(opts: EnumerationOptions) -> Iterator[ComponentReport]:
     """Yield the report of every admissible descriptor with c2(E) = k, built
     one at a time, in canonical order: the runs of iter_runs, each with s
     ascending."""
     for run, top in iter_runs(opts):
-        for s in range(top + 1):
-            yield build_report(
-                ComponentDescriptor(run.reflexive, run.curve, s),
-                min_curve_degree=opts.min_curve_degree, run=run)
+        yield from _run_reports(run, top, opts.min_curve_degree)
 
 
 class _Tally:
@@ -199,25 +205,17 @@ def _closed_c2_agrees(f: SplitResolution) -> bool:
     return chern_sabc_closed(f.a, f.b, f.c)[0] == chern_of(f).c2
 
 
-def _walks_again(opts: EnumerationOptions, runs) -> bool:
-    """Whether a second walk of opts's runs, on a cold chern_of cache,
-    yields the held (run, first s, last s) list, compared as it streams; a
-    missing or extra run differs too.  This equals comparing the reports
-    only because assemble_report is a pure function of (run, s)."""
-    clear_chern_cache()
-    missing = object()
-    return all(a == b for a, b in zip_longest(
-        ((run, 0, top) for run, top in iter_runs(opts)), runs,
-        fillvalue=missing))
-
-
 def verify_atlas(opts: EnumerationOptions) -> VerificationSummary:
-    """Run the invariant suite over one atlas, reading each report once as
-    the walk streams: what is held is one (run, first s, last s) entry per
-    run, and no report.  The family checks run before the second walk of
-    rerun-determinism empties the chern_of cache.  Uniqueness and
-    distinctness are decided per run: s ascends within each run, and no two
-    runs share (R, C) or signature (each starts at s = 0).  Closed-form c3
+    """Run the invariant suite over one atlas, walking iter_runs once and
+    reading each report as _run_reports builds it: what is held is one
+    (run, top) entry per run, and no report.  The family checks run before
+    the second walk of rerun-determinism empties the chern_of cache.
+    Uniqueness and distinctness are decided per run, as no two runs sharing
+    (R, C) or signature; no per-report ordering check is needed, since only
+    _run_reports builds a run's reports, for s in range(top + 1).
+    rerun-determinism compares the held runs with a runs-only second walk on
+    a cold cache, which equals comparing the reports only because
+    assemble_report is a pure function of (run, s).  Closed-form c3
     disagreements and literature discrepancies are collected as notes, not
     failures."""
 
@@ -247,34 +245,26 @@ def verify_atlas(opts: EnumerationOptions) -> VerificationSummary:
                       lambda step: step[1].dim_component
                       == step[0].dim_component + 2,
                       lambda step: _report_label(step[1]))
-    runs: list[tuple[ComponentRun, int, int]] = []
-    ascending = True
-
-    def streamed() -> Iterator[ComponentReport]:
-        nonlocal ascending
-        prev = None
-        for r in iter_components(opts):
+    runs: list[tuple[ComponentRun, int]] = []
+    erratum_notes = ()
+    for run, top in iter_runs(opts):
+        runs.append((run, top))
+        notes, prev = list(erratum_notes), None
+        for r in _run_reports(run, top, opts.min_curve_degree):
             for tally in per_report:
                 tally.add(r)
-            if isinstance(r.descriptor.reflexive, IdealExtension):
+            if isinstance(run.reflexive, IdealExtension):
                 margin.add(r)
-            s = r.descriptor.s
-            if prev is not None and r.run is prev.run:
+            if prev is not None:
                 monotone.add((prev, r))
-                ascending = ascending and s > prev.descriptor.s
-                runs[-1] = (r.run, runs[-1][1], s)
-            else:
-                runs.append((r.run, s, s))
+            notes += r.erratum_notes
             prev = r
-            yield r
-
-    # dedup_notes drives the walk, so each report is read once, as it streams
-    erratum_notes = dedup_notes(n for r in streamed()
-                                for n in r.erratum_notes)
+        # once per run, so the notes held never outgrow one run's
+        erratum_notes = dedup_notes(notes)
     for tally in (margin, monotone):
         if tally.passed + tally.failed == 0:
             tally.add(None)
-    families_seen = sorted({run.reflexive for run, _, _ in runs},
+    families_seen = sorted({run.reflexive for run, _ in runs},
                            key=reflexive_tag)
     family_rows = (
         ("euler-pairing", families_seen, euler_check, reflexive_tag),
@@ -291,18 +281,25 @@ def verify_atlas(opts: EnumerationOptions) -> VerificationSummary:
     )
     # run before the second walk clears chern_of
     family_checks = [_check(*row) for row in family_rows]
+
+    def walks_again(held) -> bool:
+        # compared as it streams, so the second walk's runs are never held
+        clear_chern_cache()
+        again = iter_runs(opts)
+        return (all(entry == next(again, None) for entry in held)
+                and next(again, None) is None)
+
     run_rows = (
         ("descriptor-uniqueness", [runs],
-         lambda held: ascending and _distinct(
-             [(run.reflexive, run.curve) for run, _, _ in held]),
+         lambda held: _distinct([(run.reflexive, run.curve)
+                                 for run, _ in held]),
          lambda _: "duplicates found"),
         ("signature-distinctness", [runs],
-         lambda held: ascending and _distinct(
+         lambda held: _distinct(
              [(type(run.reflexive), run.chern_r, run.curve.degree, run.genus)
-              for run, _, _ in held]),
+              for run, _ in held]),
          lambda _: "colliding signatures"),
-        ("rerun-determinism", [runs],
-         lambda held: _walks_again(opts, held),
+        ("rerun-determinism", [runs], walks_again,
          lambda _: "atlases differ"),
     )
     return VerificationSummary(

@@ -274,25 +274,47 @@ def test_rerun_determinism_can_fail(monkeypatch, second_walk):
 
 
 @pytest.mark.parametrize("walk, repeat, failing", [
-    ("iter_runs", lambda runs: runs + runs[:1], set()),
-    ("iter_components", lambda reports: reports[:2] + reports[1:],
-     {"dimension-monotone-in-s"}),
+    ("iter_runs", lambda runs: runs + runs[:1],
+     {"descriptor-uniqueness": (0, 1, "duplicates found"),
+      "signature-distinctness": (0, 1, "colliding signatures")}),
+    ("_run_reports", lambda reports: reports[:2] + reports[1:],
+     {"dimension-monotone-in-s": (21, 9, "S:0,1,0 R:3 s=1")}),
 ], ids=["run-repeated", "report-repeated"])
 def test_uniqueness_and_distinctness_can_fail(monkeypatch, walk, repeat,
                                              failing):
     # Decided per run: a run listed again after the others repeats its
-    # (R, C) and its signature, and a report listed twice in a row repeats
-    # an s of its run.  rerun-determinism still passes: both walks repeat
-    # the run, and a repeated report leaves its run's s range as it was.
+    # (R, C) and its signature.  Inside a run s is a range, so a report
+    # built twice in a row (here s = 1, in each of the 9 runs that reach
+    # it) shows as a step of 0 in dimension-monotone-in-s.
+    # rerun-determinism still passes: both walks repeat the run, and a
+    # repeated report leaves its run's (run, top) as it was.
     real = getattr(atlas, walk)
     monkeypatch.setattr(atlas, walk,
-                        lambda opts: iter(repeat(list(real(opts)))))
-    checks = {c.name: c for c in verify_atlas(EnumerationOptions(k=6)).checks}
-    assert checks.pop("descriptor-uniqueness")[1:] == (
-        0, 1, ("duplicates found",))
-    assert checks.pop("signature-distinctness")[1:] == (
-        0, 1, ("colliding signatures",))
-    assert {c.name for c in checks.values() if c.failed} == failing
+                        lambda *args: iter(repeat(list(real(*args)))))
+    checks = verify_atlas(EnumerationOptions(k=6)).checks
+    assert {c.name: (c.passed, c.failed, c.failures[0])
+            for c in checks if c.failed} == failing
+
+
+@pytest.mark.parametrize("floor", [1, 2, 3])
+def test_verify_certifies_what_enumerate_prints(monkeypatch, floor):
+    # verify walks the runs itself, so it must build the reports of
+    # exactly the descriptors that iter_components yields, in its order
+    built, real = [], atlas.build_report
+
+    def recorded(d, **kwargs):
+        built.append((d, kwargs["min_curve_degree"]))
+        return real(d, **kwargs)
+    monkeypatch.setattr(atlas, "build_report", recorded)
+
+    def descriptors(walk):
+        built.clear()
+        for k in range(3, 13):
+            walk(EnumerationOptions(k, floor))
+        return list(built)
+    enumerated = descriptors(lambda opts: list(iter_components(opts)))
+    assert len(enumerated) > 100
+    assert descriptors(verify_atlas) == enumerated
 
 
 def test_rerun_determinism_walks_on_a_cold_chern_cache(monkeypatch):
