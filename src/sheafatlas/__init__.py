@@ -13,7 +13,7 @@ the spectrum.
 
 The root binds no names of its own: import each from its module, e.g.
 `sheafatlas.transform.build_report`.  It imports `exactpoly`, whose
-`HilbertPolynomial` no module uses, only for the benchmark's tracer.
+`HilbertPolynomial` is an empty class, only for the benchmark's tracer.
 """
 
-from . import exactpoly  # perfbench/tracer.py wraps its HilbertPolynomial
+from . import exactpoly  # perfbench/tracer.py looks up its HilbertPolynomial

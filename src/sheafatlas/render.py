@@ -17,12 +17,13 @@ would give for the report's own tree, without building that tree.  Erratum
 notes, whose values vary in shape, go through json.dumps themselves, once
 per change of value from one report to the next.
 
-Each writer formats a run's text once per run, when a report's run is not
-the one before it: JSON fills the run's slots then, which leaves a template
-with the slots that vary with s.  JSON notes are kept in an lru_cache of
-size 1.  Verdict texts share one lru_cache that holds two whole ledgers, so
-a verdict that every ledger shares is written once per atlas.  json and csv
-are imported by the writers that use them.
+The JSON writer fills a run's slots once per run, when a report's run is
+not the one before it, which leaves a template with the slots that vary
+with s.  Its notes texts are kept in an lru_cache of size 1, and its
+verdict texts in one that holds two whole ledgers, so a verdict that every
+ledger shares is written once per atlas.  A CSV row, which the table reads
+too, is a plain function of its report.  json and csv are imported by the
+writers that use them.
 """
 
 from __future__ import annotations
@@ -134,10 +135,10 @@ def _report_writer(pad: str):
     verdict_text = lru_cache(maxsize=2 * len(CONDITION_IDS))(
         lambda v: verdict % (
             _str(v.condition), _str(v.note), _str(v.status)))
-    run = template = run_notes = None
+    run = template = None
 
     def write(r: ComponentReport) -> str:
-        nonlocal run, template, run_notes
+        nonlocal run, template
         if r.run is not run:
             run, e, o, c = r.run, r.run.chern_e, r.run.chern_r, r.run.closed
             # tags, ints and blocks of ints: the run's values hold no %
@@ -146,12 +147,10 @@ def _report_writer(pad: str):
                 closed_form % ((c[0],) + halved(c[1])[1:]), o.c2, o.c3,
                 _str(curve_tag(run.curve)), _str(reflexive_tag(run.reflexive)),
                 e.c2, run.normal_h1, run.curve.degree, run.genus, o.c3)
-            run_notes = notes_text(run.notes)
-        s, notes = r.descriptor.s, r.erratum_notes
+        s = r.descriptor.s
         return template % (
             r.chi_l, r.chi_hom_fl, r.deg_l, s, r.dim_component, r.dim_tangent,
-            run_notes if notes is run.notes else notes_text(notes),
-            r.hom_orbit_dim, s,
+            notes_text(r.erratum_notes), r.hom_orbit_dim, s,
             _list([*map(verdict_text, r.verdicts)], nl + "  ]"))
     return write
 
@@ -199,36 +198,22 @@ def report_json(report: ComponentReport) -> str:
                    "") % _report_writer("  ")(report) + "\n"
 
 
-def _csv_row_writer():
-    """A function that gives one report's CSV cells, in CSV_HEADER order.
-    A new run builds the run's cells and notes text once."""
-    condition = lru_cache(maxsize=2 * len(CONDITION_IDS))(
-        lambda v: "%s=%s" % (v.condition, v.status))
-    run = cells = run_notes = None
-
-    def notes_text(notes) -> str:
-        return "; ".join(n.message for n in notes)
-
-    def row(r: ComponentReport) -> list:
-        nonlocal run, cells, run_notes
-        if r.run is not run:
-            run = r.run
-            cells = [run.chern_e.c2, reflexive_tag(run.reflexive),
-                     curve_tag(run.curve)]
-            run_notes = notes_text(run.notes)
-        notes = r.erratum_notes
-        return cells + [
-            r.descriptor.s, r.deg_l, r.chi_l, r.chi_hom_fl, r.dim_component,
-            r.dim_tangent, "|".join(map(condition, r.verdicts)),
-            run_notes if notes is run.notes else notes_text(notes)]
-    return row
+def _csv_row(r: ComponentReport) -> list:
+    """One report's CSV cells, in CSV_HEADER order."""
+    run = r.run
+    return [
+        run.chern_e.c2, reflexive_tag(run.reflexive), curve_tag(run.curve),
+        r.descriptor.s, r.deg_l, r.chi_l, r.chi_hom_fl, r.dim_component,
+        r.dim_tangent,
+        "|".join(["%s=%s" % (v.condition, v.status) for v in r.verdicts]),
+        "; ".join([n.message for n in r.erratum_notes])]
 
 
 def _write_csv(reports, out) -> None:
     import csv
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    writer.writerows(map(_csv_row_writer(), reports))
+    writer.writerows(map(_csv_row, reports))
 
 
 def report_csv(report: ComponentReport) -> str:
@@ -243,11 +228,12 @@ def _write_table(k: int, reports, out) -> None:
     distinct cell is padded to its column's width once."""
     from array import array
     columns = [{h: 0} for h in CSV_HEADER]  # row 0 is the header
-    n, listed_m3, cells = len(columns), False, _csv_row_writer()
+    n, listed_m3 = len(columns), False
     rows = array("I", [0] * n)
     for r in reports:
         # map takes len(column) just before it calls setdefault on it
-        rows.extend(map(dict.setdefault, columns, cells(r), map(len, columns)))
+        rows.extend(map(dict.setdefault, columns, _csv_row(r),
+                        map(len, columns)))
         listed_m3 = listed_m3 or r.descriptor == M3_DESCRIPTOR
     padded = []
     for column in columns:

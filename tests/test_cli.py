@@ -304,7 +304,9 @@ def test_streamed_peak_memory_does_not_grow_with_c2(fmt):
 def run_limited(limit_mb, *argv):
     """`python -m sheafatlas.cli argv` as a child that may map at most
     limit_mb MB; the limit is set before the interpreter starts, or the
-    child never runs.  Returns (exit code, stderr)."""
+    child never runs.  A child that outlives the timeout is killed and the
+    test fails with TimeoutExpired rather than hang.  Returns (exit code,
+    stderr)."""
     resource = pytest.importorskip("resource")
     limit = limit_mb << 20
 
@@ -315,7 +317,7 @@ def run_limited(limit_mb, *argv):
     proc = subprocess.run(
         [sys.executable, "-m", "sheafatlas.cli", *argv],
         env=env, preexec_fn=limit_memory, stdout=subprocess.DEVNULL,
-        stderr=subprocess.PIPE, text=True)
+        stderr=subprocess.PIPE, text=True, timeout=120)
     return proc.returncode, proc.stderr
 
 

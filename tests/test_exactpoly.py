@@ -4,8 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from powerbasis import coefficient
-from sheafatlas.exactpoly import HilbertPolynomial
+from powerbasis import HilbertPolynomial, coefficient
 
 
 # C(t+i, i) = (t+1)...(t+i) / i!, i = 0..3, and their power-basis

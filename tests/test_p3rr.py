@@ -6,8 +6,7 @@ of `powerbasis`, which the transform tests also use as a second route.
 
 import pytest
 
-from powerbasis import chern_from_hp, hp_from_chern
-from sheafatlas.exactpoly import HilbertPolynomial
+from powerbasis import HilbertPolynomial, chern_from_hp, hp_from_chern
 from sheafatlas.p3rr import (
     ChernData,
     chern_from_values,

@@ -16,6 +16,7 @@ from itertools import groupby, zip_longest
 
 import pytest
 
+from sheafatlas import render
 from sheafatlas.atlas import (
     CheckResult,
     EnumerationOptions,
@@ -254,6 +255,19 @@ def test_a_verdict_every_ledger_shares_is_written_once(monkeypatch):
     assert calls.count("points-bound") == len(reports)
 
 
+def test_atlas_json_tags_a_curve_once_per_run(monkeypatch):
+    # The JSON writer fills a run's slots, the curve tag among them, once
+    # per run; a writer that filled every slot per report would tag each.
+    opts = EnumerationOptions(22)
+    reports = tuple(iter_components(opts))
+    calls = []
+    monkeypatch.setattr(render, "curve_tag",
+                        lambda curve: calls.append(curve) or curve_tag(curve))
+    written(opts, reports, "json")
+    runs = sum(1 for _ in groupby(reports, lambda r: r.run))
+    assert (len(calls), runs, len(reports)) == (69, 69, 1344)
+
+
 def rows_one_at_a_time(reports):
     """The CSV of reports written one at a time, under one header."""
     return ",".join(CSV_HEADER) + "\n" + "".join(
@@ -262,10 +276,11 @@ def rows_one_at_a_time(reports):
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
 def test_memos_keyed_by_value_never_change_bytes(fmt):
-    # The writers memoize a run's text per run, by identity, and only the
-    # notes and the verdicts by value.  Each report built on its own: equal
-    # values, but no run, notes tuple or ledger shared with its neighbours,
-    # so the value-keyed memos see equal values in new objects.
+    # The JSON writer fills a run's slots once per run, by identity, and
+    # memoizes the notes and the verdicts by value; a CSV row is a function
+    # of its report alone.  Each report built on its own: equal values, but
+    # no run, notes tuple or ledger shared with its neighbours, so the
+    # value-keyed memos see equal values in new objects.
     for floor, top in ((2, 16), (1, 6)):
         for k in range(3, top + 1):
             opts = EnumerationOptions(k, floor)
@@ -276,7 +291,7 @@ def test_memos_keyed_by_value_never_change_bytes(fmt):
             assert written(opts, rebuilt, fmt) == written(opts, reports, fmt)
     # The identity misses: the runs' members interleaved round-robin, so a
     # run comes back after others; and one report mid-run whose notes are
-    # its run's plus one, which the run's notes text must not stand for.
+    # its run's plus one, whose notes text must not be its run's.
     opts = EnumerationOptions(12)
     reports = tuple(iter_components(opts))
     runs = [list(run) for _, run in groupby(reports, lambda r: r.run)]

@@ -9,12 +9,11 @@ from fractions import Fraction
 import pytest
 
 import sheafatlas
-from powerbasis import chern_from_hp, hp_from_chern
+from powerbasis import HilbertPolynomial, chern_from_hp, hp_from_chern
 from record_manifest import DESCRIBE
 from sheafatlas import atlas, transform
 from sheafatlas.atlas import EnumerationOptions, iter_components
 from sheafatlas.curvecoh import CompleteIntersection, RationalCurve, genus
-from sheafatlas.exactpoly import HilbertPolynomial
 from sheafatlas.families import (
     ExtProfile,
     IdealExtension,
